@@ -2,7 +2,7 @@
 //
 // Times partition_patterns_reference (the retained seed oracle: full X-cell
 // re-analysis per round) against the PartitionEngine (victim-only
-// re-analysis over an XMatrixView snapshot) on a synthetic Table-1-scale
+// re-analysis over an XMatrixStore snapshot) on a synthetic Table-1-scale
 // workload, serially and across thread-pool sizes, and emits one JSON
 // object so CI can parse the numbers:
 //

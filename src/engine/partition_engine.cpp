@@ -16,17 +16,34 @@ namespace {
 /// the sweep itself.
 constexpr std::size_t kParallelGrain = 2048;
 
-/// Cells provably sharing their in-partition X patterns, keyed exactly like
-/// the seed partitioner: (restricted count, restricted-pattern-set hash).
-/// std::map so group iteration order — and therefore tie-breaking — matches.
-using GroupMap =
-    std::map<std::pair<std::size_t, std::uint64_t>, std::vector<std::size_t>>;
+/// One swept row that has X's inside the partition but is not maskable:
+/// the group key the seed partitioner uses — (restricted count,
+/// restricted-pattern-set hash) — plus the row it came from.
+struct GroupRecord {
+  std::uint64_t hash;
+  std::uint32_t count;
+  std::uint32_t row;
+};
 
 struct ChunkAccum {
-  GroupMap groups;
+  std::vector<GroupRecord> records;  // rows ascending
   std::vector<std::uint32_t> members;
   std::size_t masked_cells = 0;
 };
+
+/// Open-addressing slot of the group-size table; count == 0 marks it empty
+/// (records always have 0 < count < span).
+struct GroupSlot {
+  std::uint64_t hash = 0;
+  std::uint32_t count = 0;
+  std::uint32_t size = 0;
+};
+
+std::size_t slot_of(std::uint64_t hash, std::uint32_t count, unsigned bits) {
+  const std::uint64_t mixed =
+      (hash ^ (count * 0x9e3779b97f4a7c15ULL)) * 0xff51afd7ed558ccdULL;
+  return static_cast<std::size_t>(mixed >> (64 - bits));
+}
 
 }  // namespace
 
@@ -45,6 +62,9 @@ PartitionEngine::PartitionEngine(const XMatrixStore& store,
   XH_ASSERT(store_.num_rows() <
                 std::numeric_limits<std::uint32_t>::max(),
             "row index overflows the member representation");
+  XH_ASSERT(store_.num_patterns() <
+                std::numeric_limits<std::uint32_t>::max(),
+            "X count overflows the group representation");
 
   std::vector<std::uint32_t> all(store_.num_rows());
   for (std::size_t r = 0; r < all.size(); ++r) {
@@ -126,9 +146,9 @@ PartitionEngine::Part PartitionEngine::analyze(
   part.patterns = std::move(patterns);
   XH_ASSERT(part.span > 0, "empty partition");
 
-  // Sweep the candidate rows into (count, set-hash) groups. Chunk results
-  // are merged in chunk order below, so the grouped cell lists stay
-  // ascending and the outcome is independent of the pool size.
+  // Sweep the candidate rows into flat per-chunk buffers. Chunks are read
+  // back in chunk order below, so members and records stay ascending and
+  // the outcome is independent of the pool size.
   const std::size_t chunks =
       pool_ != nullptr ? pool_->chunk_count(candidates.size(), kParallelGrain)
                        : (candidates.empty() ? 0 : 1);
@@ -144,8 +164,8 @@ PartitionEngine::Part PartitionEngine::analyze(
       if (count == part.span) {
         ++acc.masked_cells;
       } else {
-        acc.groups[{count, store_.hash_in(row, part.patterns)}].push_back(
-            store_.cell_id(row));
+        acc.records.push_back({store_.hash_in(row, part.patterns),
+                               static_cast<std::uint32_t>(count), row});
       }
     }
   };
@@ -161,38 +181,64 @@ PartitionEngine::Part PartitionEngine::analyze(
   obs_count(trace_, "engine.cell_analyses");
   obs_count(trace_, "engine.rows_examined", candidates.size());
 
-  GroupMap groups;
   std::size_t member_total = 0;
-  for (const ChunkAccum& acc : accums) member_total += acc.members.size();
+  std::size_t record_total = 0;
+  for (const ChunkAccum& acc : accums) {
+    member_total += acc.members.size();
+    record_total += acc.records.size();
+  }
   part.members.reserve(member_total);
-  for (ChunkAccum& acc : accums) {
+  for (const ChunkAccum& acc : accums) {
     part.masked_cells += acc.masked_cells;
     part.members.insert(part.members.end(), acc.members.begin(),
                         acc.members.end());
-    for (auto& [key, cells] : acc.groups) {
-      auto& dst = groups[key];
-      if (dst.empty()) {
-        dst = std::move(cells);
-      } else {
-        dst.insert(dst.end(), cells.begin(), cells.end());
+  }
+
+  // Count group sizes in a linear-probing table at most half full.
+  unsigned bits = 1;
+  while ((std::size_t{1} << bits) < 2 * record_total) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<GroupSlot> table(mask + 1);
+  for (const ChunkAccum& acc : accums) {
+    for (const GroupRecord& rec : acc.records) {
+      std::size_t i = slot_of(rec.hash, rec.count, bits);
+      while (table[i].count != 0 &&
+             (table[i].count != rec.count || table[i].hash != rec.hash)) {
+        i = (i + 1) & mask;
       }
+      table[i].hash = rec.hash;
+      table[i].count = rec.count;
+      ++table[i].size;
     }
   }
 
-  for (auto& [key, cells] : groups) {
-    // Rank by maskable X volume; break ties toward more cells, then the
-    // higher X count (same rule and same map order as the seed).
-    const std::size_t count = key.first;
-    const std::size_t score = cells.size() * count;
+  // Rank by maskable X volume; break ties toward more cells, then the
+  // higher X count, then the lower hash — the seed partitioner's rule, with
+  // its ascending (count, hash) map order made explicit.
+  GroupSlot win;  // score 0: every occupied slot beats it
+  for (const GroupSlot& g : table) {
+    if (g.count == 0) continue;
+    const std::size_t score = std::size_t{g.size} * g.count;
+    const std::size_t win_score = std::size_t{win.size} * win.count;
     const bool better =
-        score > part.group_score() ||
-        (score == part.group_score() &&
-         (cells.size() > part.group_size ||
-          (cells.size() == part.group_size && count > part.group_xcount)));
-    if (better) {
-      part.group_size = cells.size();
-      part.group_xcount = count;
-      part.group_cells = std::move(cells);
+        score > win_score ||
+        (score == win_score &&
+         (g.size > win.size ||
+          (g.size == win.size &&
+           (g.count > win.count ||
+            (g.count == win.count && g.hash < win.hash)))));
+    if (better) win = g;
+  }
+  part.group_size = win.size;
+  part.group_xcount = win.count;
+
+  // Only the winner's cells are gathered; rows ascend, so cell ids do too.
+  part.group_cells.reserve(win.size);
+  for (const ChunkAccum& acc : accums) {
+    for (const GroupRecord& rec : acc.records) {
+      if (rec.count == win.count && rec.hash == win.hash) {
+        part.group_cells.push_back(store_.cell_id(rec.row));
+      }
     }
   }
   return part;

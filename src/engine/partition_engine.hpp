@@ -15,9 +15,12 @@
 //   * a probe is costed from running totals (no clone of the partition
 //     vector); a rejected probe therefore costs zero copies and leaves the
 //     engine state untouched;
-//   * the per-round cell analysis optionally fans out across a ThreadPool.
-//     Chunk results are merged in deterministic chunk order, so the result
-//     is bit-identical for any pool size (or none).
+//   * each analysis sweeps the rows into a flat buffer of (count, hash,
+//     row) records, counts group sizes in one open-addressing table, and
+//     gathers the cells of the winning group only — no per-group storage;
+//   * the sweep optionally fans out across a ThreadPool. Chunk buffers are
+//     read in deterministic chunk order, so the result is bit-identical for
+//     any pool size (or none).
 //
 // Per-round complexity: seed O(total_x_cells × pattern_words) per probe,
 // engine O(victim_cells × pattern_words) — the victim shrinks geometrically
@@ -26,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 

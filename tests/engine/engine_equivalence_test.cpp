@@ -15,6 +15,7 @@
 #include "core/partitioner.hpp"
 #include "engine/partition_engine.hpp"
 #include "engine/pipeline_context.hpp"
+#include "obs/trace.hpp"
 #include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/rng.hpp"
@@ -136,6 +137,83 @@ TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResult) {
                            std::to_string(lanes));
     }
   }
+}
+
+// The small matrices above stay under the engine's parallel grain, so each
+// pooled analysis runs as one chunk. This matrix has over 10k X rows, which
+// splits the root sweep (and the early rounds) into several chunks whose
+// buffers must be read back in chunk order.
+TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResultAcrossChunks) {
+  WorkloadProfile profile;
+  profile.name = "multi-chunk";
+  profile.geometry = {32, 500};
+  profile.num_patterns = 128;
+  profile.x_density = 0.04;
+  profile.clustered_fraction = 0.9;
+  profile.cluster_cells_mean = 20;
+  profile.cluster_patterns_mean = 6;
+  profile.seed = 0x5eed;
+  const XMatrix xm = generate_workload(profile);
+  ASSERT_GE(xm.x_cells().size(), 10000u);
+
+  PartitionerConfig cfg;
+  cfg.misr = {32, 7};
+  cfg.stop_on_cost_increase = false;  // masks this wide never pay off
+  cfg.max_rounds = 12;
+  cfg.cell_choice = SplitCellChoice::kRandom;
+  cfg.seed = 2026;
+  const PartitionResult want = partition_patterns_reference(xm, cfg);
+  ASSERT_EQ(want.history.size(), cfg.max_rounds + 1);
+  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
+  PartitionEngine serial(*store, cfg, nullptr);
+  expect_identical(want, serial.run(), "serial");
+  for (const std::size_t lanes : {2u, 3u, 5u}) {
+    const std::string label = "lanes " + std::to_string(lanes);
+    ThreadPool pool(lanes);
+    Trace trace;
+    PartitionEngine engine(*store, cfg, &pool, &trace);
+    expect_identical(want, engine.run(), label);
+    // One pool task per chunk: more tasks than analyses means at least one
+    // sweep was split.
+    EXPECT_GT(trace.counter("engine.pool_tasks").value,
+              trace.counter("engine.cell_analyses").value)
+        << label;
+  }
+}
+
+// Two candidate groups tie on score, size and X count: cells 0 and 1 are X
+// under patterns {2, 3}, cells 2 and 3 under {0, 1}. The rule is that the
+// lower (count, hash) key wins, which is the order the seed partitioner's
+// std::map visits its groups in. The {0, 1} group has the lower hash but
+// the higher cell ids, so neither row order nor the higher hash picks it.
+TEST(EngineEquivalence, TiedGroupsBreakTowardTheLowerHash) {
+  XMatrix xm({1, 8}, 8);
+  for (const std::size_t cell : {0u, 1u}) {
+    xm.add_x(cell, 2);
+    xm.add_x(cell, 3);
+  }
+  for (const std::size_t cell : {2u, 3u}) {
+    xm.add_x(cell, 0);
+    xm.add_x(cell, 1);
+  }
+  PartitionerConfig cfg;
+  cfg.misr = {32, 7};
+  cfg.cell_choice = SplitCellChoice::kLowestIndex;
+
+  const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
+  const BitVec all(xm.num_patterns(), true);
+  ASSERT_EQ(store->cell_id(0), 0u);
+  ASSERT_EQ(store->cell_id(2), 2u);
+  ASSERT_LT(store->hash_in(2, all), store->hash_in(0, all));
+
+  const PartitionResult want = partition_patterns_reference(xm, cfg);
+  ASSERT_GE(want.history.size(), 2u);
+  EXPECT_EQ(want.history[1].split_cell, 2u);
+  PartitionEngine engine(*store, cfg);
+  const PartitionResult got = engine.run();
+  ASSERT_GE(got.history.size(), 2u);
+  EXPECT_EQ(got.history[1].split_cell, want.history[1].split_cell);
+  expect_identical(want, got, "tie-break");
 }
 
 // The context-routed entry point is the same computation.
