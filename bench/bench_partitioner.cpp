@@ -3,11 +3,10 @@
 // Times partition_patterns_reference (the retained seed oracle: full X-cell
 // re-analysis per round) against the PartitionEngine (victim-only
 // re-analysis over an XMatrixStore snapshot) on a synthetic Table-1-scale
-// workload, serially and across thread-pool sizes, and emits one JSON
-// object so CI can parse the numbers:
+// workload and emits one JSON object so CI can parse the numbers:
 //
 //   bench_partitioner [--cells N] [--patterns P] [--density D]
-//                     [--rounds R] [--threads T] [--seed S] [--smoke]
+//                     [--rounds R] [--seed S] [--smoke]
 //                     [--xm-backend B] [--telemetry file.json]
 //                     [--trajectory file.json]
 //
@@ -66,7 +65,6 @@
 #include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/parse.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/industrial.hpp"
 
 namespace xh {
@@ -77,7 +75,6 @@ struct BenchOptions {
   std::size_t patterns = 3'000;
   double density = 0.01;
   std::size_t rounds = 40;
-  std::size_t threads = 2;  // pool size for the scaling sample
   std::uint64_t seed = 1;
   bool smoke = false;
   XmBackend xm_backend = XmBackend::kCsr;  // store for the traced run
@@ -261,19 +258,6 @@ int run(const BenchOptions& opt) {
   const double engine_ms = time_ms(
       [&] { engine_result = partition_patterns(xm, cfg); }, reps);
 
-  double pooled_ms = 0.0;
-  if (opt.threads > 1) {
-    ThreadPool pool(opt.threads);
-    pooled_ms = time_ms(
-        [&] {
-          const std::unique_ptr<XMatrixStore> store =
-              make_store(xm, XmBackend::kCsr);
-          PartitionEngine engine(*store, cfg, &pool);
-          engine_result = engine.run();
-        },
-        reps);
-  }
-
   // Per-backend sweep: same engine, same bits, different physical store.
   // Resident/mapped bytes come from the store's own accounting (the same
   // store.* gauges the telemetry run exports), peak RSS from the kernel.
@@ -354,7 +338,6 @@ int run(const BenchOptions& opt) {
       "%llu, \"rounds\": %zu, \"partitions\": %zu},\n"
       "  \"reference_ms\": %.3f,\n"
       "  \"engine_ms\": %.3f,\n"
-      "  \"engine_pool%zu_ms\": %.3f,\n"
       "  \"speedup\": %.2f,\n"
       "  \"engine_rounds_per_sec\": %.1f,\n"
       "  \"results_identical\": %s,\n"
@@ -362,9 +345,8 @@ int run(const BenchOptions& opt) {
       "  \"backends\": {\n",
       chains * length, opt.patterns,
       static_cast<unsigned long long>(xm.total_x()), rounds_run,
-      engine_result.num_partitions(), ref_ms, engine_ms, opt.threads,
-      pooled_ms, speedup, engine_rounds_per_sec,
-      identical ? "true" : "false", peak_rss_kb());
+      engine_result.num_partitions(), ref_ms, engine_ms, speedup,
+      engine_rounds_per_sec, identical ? "true" : "false", peak_rss_kb());
   for (std::size_t i = 0; i < backends.size(); ++i) {
     const BackendSample& b = backends[i];
     std::printf(
@@ -465,7 +447,7 @@ int run(const BenchOptions& opt) {
     {
       const std::unique_ptr<XMatrixStore> store =
           make_store(xm, opt.xm_backend);
-      PartitionEngine engine(*store, cfg, nullptr, &trace);
+      PartitionEngine engine(*store, cfg, &trace);
       const PartitionResult traced = engine.run();
       if (!results_identical(engine_result, traced)) {
         std::fprintf(stderr, "FAIL: traced run differs from untraced run\n");
@@ -483,7 +465,6 @@ int run(const BenchOptions& opt) {
     obs_count(&trace, "bench.results_identical", identical ? 1 : 0);
     obs_gauge(&trace, "bench.reference_ms", ref_ms);
     obs_gauge(&trace, "bench.engine_ms", engine_ms);
-    obs_gauge(&trace, "bench.engine_pooled_ms", pooled_ms);
     obs_gauge(&trace, "bench.speedup", speedup);
     obs_gauge(&trace, "bench.engine_rounds_per_sec", engine_rounds_per_sec);
     obs_gauge(&trace, "bench.peak_rss_kb",
@@ -517,8 +498,7 @@ int run(const BenchOptions& opt) {
     TelemetryMeta meta;
     meta.tool = "bench_partitioner";
     meta.run = {{"smoke", opt.smoke ? "true" : "false"},
-                {"seed", std::to_string(opt.seed)},
-                {"threads", std::to_string(opt.threads)}};
+                {"seed", std::to_string(opt.seed)}};
     write_telemetry_json(out, trace, meta);
     std::fprintf(stderr, "telemetry written to %s\n",
                  opt.telemetry_path.c_str());
@@ -628,8 +608,6 @@ int main(int argc, char** argv) {
         opt.density = xh::parse_f64(next());
       } else if (arg == "--rounds") {
         opt.rounds = xh::parse_size(next());
-      } else if (arg == "--threads") {
-        opt.threads = xh::parse_size(next());
       } else if (arg == "--seed") {
         opt.seed = xh::parse_u64(next());
       } else if (arg == "--telemetry") {

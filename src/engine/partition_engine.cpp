@@ -12,10 +12,6 @@
 namespace xh {
 namespace {
 
-/// Below this many candidate rows the fan-out bookkeeping costs more than
-/// the sweep itself.
-constexpr std::size_t kParallelGrain = 2048;
-
 /// One swept row that has X's inside the partition but is not maskable:
 /// the group key the seed partitioner uses — (restricted count,
 /// restricted-pattern-set hash) — plus the row it came from.
@@ -23,12 +19,6 @@ struct GroupRecord {
   std::uint64_t hash;
   std::uint32_t count;
   std::uint32_t row;
-};
-
-struct ChunkAccum {
-  std::vector<GroupRecord> records;  // rows ascending
-  std::vector<std::uint32_t> members;
-  std::size_t masked_cells = 0;
 };
 
 /// Open-addressing slot of the group-size table; count == 0 marks it empty
@@ -48,12 +38,10 @@ std::size_t slot_of(std::uint64_t hash, std::uint32_t count, unsigned bits) {
 }  // namespace
 
 PartitionEngine::PartitionEngine(const XMatrixStore& store,
-                                 const PartitionerConfig& cfg,
-                                 ThreadPool* pool, Trace* trace,
+                                 const PartitionerConfig& cfg, Trace* trace,
                                  const CancelToken* cancel)
     : store_(store),
       cfg_(cfg),
-      pool_(pool),
       trace_(trace),
       cancel_(cancel),
       rng_(cfg.seed) {
@@ -77,12 +65,10 @@ PartitionEngine::PartitionEngine(const XMatrixStore& store,
 
 PartitionEngine::PartitionEngine(const XMatrixStore& store,
                                  const PartitionerConfig& cfg,
-                                 const EngineSnapshot& snapshot,
-                                 ThreadPool* pool, Trace* trace,
+                                 const EngineSnapshot& snapshot, Trace* trace,
                                  const CancelToken* cancel)
     : store_(store),
       cfg_(cfg),
-      pool_(pool),
       trace_(trace),
       cancel_(cancel),
       rng_(cfg.seed) {
@@ -111,8 +97,8 @@ PartitionEngine::PartitionEngine(const XMatrixStore& store,
   rng_.set_state(snapshot.rng_state);
 
   // Re-derive each partition's analysis with a full-row sweep; analyze()
-  // skips rows with no X in the partition and merges chunks in ascending
-  // order, so the Part is identical to the one built incrementally.
+  // skips rows with no X in the partition and keeps rows ascending, so the
+  // Part is identical to the one built incrementally.
   std::vector<std::uint32_t> all(store_.num_rows());
   for (std::size_t r = 0; r < all.size(); ++r) {
     all[r] = static_cast<std::uint32_t>(r);
@@ -146,70 +132,39 @@ PartitionEngine::Part PartitionEngine::analyze(
   part.patterns = std::move(patterns);
   XH_ASSERT(part.span > 0, "empty partition");
 
-  // Sweep the candidate rows into flat per-chunk buffers. Chunks are read
-  // back in chunk order below, so members and records stay ascending and
-  // the outcome is independent of the pool size.
-  const std::size_t chunks =
-      pool_ != nullptr ? pool_->chunk_count(candidates.size(), kParallelGrain)
-                       : (candidates.empty() ? 0 : 1);
-  std::vector<ChunkAccum> accums(chunks);
-  const auto sweep = [&](std::size_t chunk, std::size_t begin,
-                         std::size_t end) {
-    ChunkAccum& acc = accums[chunk];
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t row = candidates[i];
-      const std::size_t count = store_.count_in(row, part.patterns);
-      if (count == 0) continue;
-      acc.members.push_back(row);
-      if (count == part.span) {
-        ++acc.masked_cells;
-      } else {
-        acc.records.push_back({store_.hash_in(row, part.patterns),
-                               static_cast<std::uint32_t>(count), row});
-      }
+  // Sweep the candidate rows in ascending order, so members and records
+  // stay ascending too.
+  std::vector<GroupRecord> records;
+  for (const std::uint32_t row : candidates) {
+    const std::size_t count = store_.count_in(row, part.patterns);
+    if (count == 0) continue;
+    part.members.push_back(row);
+    if (count == part.span) {
+      ++part.masked_cells;
+    } else {
+      records.push_back({store_.hash_in(row, part.patterns),
+                         static_cast<std::uint32_t>(count), row});
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_chunks(candidates.size(), kParallelGrain, sweep);
-    obs_count(trace_, "engine.pool_tasks", chunks);
-  } else if (chunks == 1) {
-    sweep(0, 0, candidates.size());
   }
-  // Counted here, after the fan-out joins: Trace is not synchronized, so
-  // instrumentation lives at the deterministic merge point, never inside
-  // the pool lambdas.
+  // Members live as long as the partition; drop the growth slack.
+  part.members.shrink_to_fit();
   obs_count(trace_, "engine.cell_analyses");
   obs_count(trace_, "engine.rows_examined", candidates.size());
 
-  std::size_t member_total = 0;
-  std::size_t record_total = 0;
-  for (const ChunkAccum& acc : accums) {
-    member_total += acc.members.size();
-    record_total += acc.records.size();
-  }
-  part.members.reserve(member_total);
-  for (const ChunkAccum& acc : accums) {
-    part.masked_cells += acc.masked_cells;
-    part.members.insert(part.members.end(), acc.members.begin(),
-                        acc.members.end());
-  }
-
   // Count group sizes in a linear-probing table at most half full.
   unsigned bits = 1;
-  while ((std::size_t{1} << bits) < 2 * record_total) ++bits;
+  while ((std::size_t{1} << bits) < 2 * records.size()) ++bits;
   const std::size_t mask = (std::size_t{1} << bits) - 1;
   std::vector<GroupSlot> table(mask + 1);
-  for (const ChunkAccum& acc : accums) {
-    for (const GroupRecord& rec : acc.records) {
-      std::size_t i = slot_of(rec.hash, rec.count, bits);
-      while (table[i].count != 0 &&
-             (table[i].count != rec.count || table[i].hash != rec.hash)) {
-        i = (i + 1) & mask;
-      }
-      table[i].hash = rec.hash;
-      table[i].count = rec.count;
-      ++table[i].size;
+  for (const GroupRecord& rec : records) {
+    std::size_t i = slot_of(rec.hash, rec.count, bits);
+    while (table[i].count != 0 &&
+           (table[i].count != rec.count || table[i].hash != rec.hash)) {
+      i = (i + 1) & mask;
     }
+    table[i].hash = rec.hash;
+    table[i].count = rec.count;
+    ++table[i].size;
   }
 
   // Rank by maskable X volume; break ties toward more cells, then the
@@ -234,11 +189,9 @@ PartitionEngine::Part PartitionEngine::analyze(
 
   // Only the winner's cells are gathered; rows ascend, so cell ids do too.
   part.group_cells.reserve(win.size);
-  for (const ChunkAccum& acc : accums) {
-    for (const GroupRecord& rec : acc.records) {
-      if (rec.count == win.count && rec.hash == win.hash) {
-        part.group_cells.push_back(store_.cell_id(rec.row));
-      }
+  for (const GroupRecord& rec : records) {
+    if (rec.count == win.count && rec.hash == win.hash) {
+      part.group_cells.push_back(store_.cell_id(rec.row));
     }
   }
   return part;

@@ -15,12 +15,10 @@
 //   * a probe is costed from running totals (no clone of the partition
 //     vector); a rejected probe therefore costs zero copies and leaves the
 //     engine state untouched;
-//   * each analysis sweeps the rows into a flat buffer of (count, hash,
-//     row) records, counts group sizes in one open-addressing table, and
-//     gathers the cells of the winning group only — no per-group storage;
-//   * the sweep optionally fans out across a ThreadPool. Chunk buffers are
-//     read in deterministic chunk order, so the result is bit-identical for
-//     any pool size (or none).
+//   * each analysis sweeps the rows serially into a flat buffer of (count,
+//     hash, row) records, counts group sizes in one open-addressing table,
+//     and gathers the cells of the winning group only — no per-group
+//     storage.
 //
 // Per-round complexity: seed O(total_x_cells × pattern_words) per probe,
 // engine O(victim_cells × pattern_words) — the victim shrinks geometrically
@@ -40,7 +38,6 @@
 #include "util/bitvec.hpp"
 #include "util/cancel_token.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace xh {
 
@@ -52,11 +49,9 @@ class PartitionEngine {
   /// trace receives engine.* counters; nullptr means no instrumentation.
   /// The optional cancel token (not owned) is polled at round boundaries.
   PartitionEngine(const XMatrixStore& store, const PartitionerConfig& cfg,
-                  ThreadPool* pool = nullptr, Trace* trace = nullptr,
-                  const CancelToken* cancel = nullptr);
+                  Trace* trace = nullptr, const CancelToken* cancel = nullptr);
   PartitionEngine(const XMatrixStore& store, PipelineContext& ctx)
-      : PartitionEngine(store, ctx.partitioner, ctx.pool(), ctx.trace(),
-                        ctx.cancel()) {}
+      : PartitionEngine(store, ctx.partitioner, ctx.trace(), ctx.cancel()) {}
 
   /// Restores an engine from a round-boundary snapshot taken against an
   /// identical store and configuration. Each stored partition is
@@ -66,8 +61,8 @@ class PartitionEngine {
   /// std::invalid_argument when the snapshot does not describe a disjoint
   /// cover of the store's patterns.
   PartitionEngine(const XMatrixStore& store, const PartitionerConfig& cfg,
-                  const EngineSnapshot& snapshot, ThreadPool* pool = nullptr,
-                  Trace* trace = nullptr, const CancelToken* cancel = nullptr);
+                  const EngineSnapshot& snapshot, Trace* trace = nullptr,
+                  const CancelToken* cancel = nullptr);
 
   /// Outcome of one greedy round.
   enum class StepOutcome {
@@ -133,8 +128,7 @@ class PartitionEngine {
   };
 
   /// Full analysis of one pattern group, restricted to @p candidates (rows
-  /// that could possibly have an X in it). Fans out on the pool when
-  /// profitable; serial and parallel paths produce identical Parts.
+  /// that could possibly have an X in it, ascending).
   Part analyze(BitVec patterns, const std::vector<std::uint32_t>& candidates);
 
   PartitionRound snapshot_round(std::size_t round, std::size_t num_parts,
@@ -142,7 +136,6 @@ class PartitionEngine {
 
   const XMatrixStore& store_;
   PartitionerConfig cfg_;
-  ThreadPool* pool_ = nullptr;
   Trace* trace_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   Rng rng_;

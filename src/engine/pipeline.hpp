@@ -4,10 +4,10 @@
 // they cannot take a PipelineContext themselves without inverting the
 // dependency graph; their primitive Diagnostics*-taking signatures stay.
 // These overloads are the seam the upper layers (hybrid, CLI, benches) use
-// instead: one PipelineContext supplies the MISR shape, the diagnostics
-// routing (strict / lenient / adopted) and the thread pool to every stage,
-// replacing the hand-threaded HybridConfig → PartitionerConfig → MisrConfig
-// + raw Diagnostics* plumbing the seed grew.
+// instead: one PipelineContext supplies the MISR shape and the diagnostics
+// routing (strict / lenient / adopted) to every stage, replacing the
+// hand-threaded HybridConfig → PartitionerConfig → MisrConfig + raw
+// Diagnostics* plumbing the seed grew.
 #pragma once
 
 #include <iosfwd>

@@ -12,12 +12,11 @@
 //     (collected into a caller-owned Diagnostics),
 //   * the observability routing — an optional xh::Trace every instrumented
 //     stage reports counters/spans into (nullptr = observability off),
-//   * a deterministic Rng seeded from the configured seed,
-//   * an optional ThreadPool the engine fans cell analysis out on.
+//   * a deterministic Rng seeded from the configured seed.
 //
 // A context is one pipeline run's ambient state; it is cheap to construct
-// and not thread-safe itself (the pool parallelism happens *inside* engine
-// calls, which only read the context).
+// and not thread-safe. Every stage runs serially on the calling thread;
+// concurrent jobs each get their own context.
 #pragma once
 
 #include "engine/partition_types.hpp"
@@ -27,15 +26,14 @@
 #include "util/cancel_token.hpp"
 #include "util/diagnostics.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace xh {
 
 class PipelineContext {
  public:
   PipelineContext() : rng_(partitioner.seed) {}
-  explicit PipelineContext(PartitionerConfig cfg, ThreadPool* pool = nullptr)
-      : partitioner(std::move(cfg)), pool_(pool), rng_(partitioner.seed) {}
+  explicit PipelineContext(PartitionerConfig cfg)
+      : partitioner(std::move(cfg)), rng_(partitioner.seed) {}
 
   // Non-copyable: the sink may point at the owned collector, which a
   // default copy/move would silently re-target to the source's.
@@ -84,11 +82,6 @@ class PipelineContext {
   Trace* trace() const { return trace_; }
   void set_trace(Trace* trace) { trace_ = trace; }
 
-  /// Optional worker pool; nullptr runs every stage serially. Results are
-  /// identical either way. Not owned.
-  ThreadPool* pool() const { return pool_; }
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
   /// Optional cooperative stop token the engine polls at round boundaries;
   /// nullptr means the run can never be interrupted. Not owned. A stop
   /// yields the best-so-far prefix (PartitionResult::interrupted == true),
@@ -113,7 +106,6 @@ class PipelineContext {
   Rng& rng() { return rng_; }
 
  private:
-  ThreadPool* pool_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   Diagnostics owned_;
   Diagnostics* sink_ = nullptr;

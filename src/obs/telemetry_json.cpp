@@ -28,7 +28,6 @@ const std::vector<std::string>& telemetry_schema_names() {
       "bench.direct_ms",
       "bench.dispatch_overhead",
       "bench.engine_ms",
-      "bench.engine_pooled_ms",
       "bench.engine_rounds_per_sec",
       "bench.flood_cap",
       "bench.jobs",
@@ -65,7 +64,6 @@ const std::vector<std::string>& telemetry_schema_names() {
       "bench.total_x",
       // engine.* counters
       "engine.cell_analyses",
-      "engine.pool_tasks",
       "engine.probes_accepted",
       "engine.probes_attempted",
       "engine.probes_rejected_zero_copy",

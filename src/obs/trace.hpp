@@ -22,8 +22,8 @@
 // computation (the XH-DET-001 suppression proof lives in trace.cpp).
 //
 // Threading: a Trace is owned by one pipeline thread and is NOT internally
-// synchronized. Stages that fan work out across a ThreadPool must count at
-// their deterministic merge points, not inside pool tasks.
+// synchronized. Code running on other threads (service workers) must not
+// touch it; the owner publishes their results into it afterwards.
 //
 // Compile-time off switch: building with -DXH_OBS_NOOP selects no-op
 // instrumentation helpers (empty handle types, empty ScopedSpan) so every

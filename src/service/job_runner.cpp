@@ -241,7 +241,7 @@ JobState PartitionService::run_attempt(Job& job, CancelToken& token) {
                              &why)) {
         try {
           engine.emplace(store, job.spec.config, ckpt->snapshot, nullptr,
-                         nullptr, &token);
+                         &token);
           resumed = true;
         } catch (const std::exception& e) {
           local.error(DiagKind::kCheckpointCorrupt, ckpt_path,
@@ -256,7 +256,7 @@ JobState PartitionService::run_attempt(Job& job, CancelToken& token) {
     }
   }
   if (!engine.has_value()) {
-    engine.emplace(store, job.spec.config, nullptr, nullptr, &token);
+    engine.emplace(store, job.spec.config, nullptr, &token);
   }
   if (resumed) {
     std::lock_guard<std::mutex> lock(mu_);

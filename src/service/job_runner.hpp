@@ -21,9 +21,8 @@
 //     attempt resumes from it bit-identically to an uninterrupted run.
 //
 // Jobs execute on a util/thread_pool task queue; the engine itself runs
-// serially inside each job (parallelism is across tenants, and the pool's
-// fork-join path is not reentrant from a pool task). All shared state is
-// guarded by one mutex; xh::Trace is NOT touched from workers — the
+// serially inside each job, so parallelism is across tenants. All shared
+// state is guarded by one mutex; xh::Trace is NOT touched from workers — the
 // watchdog and workers update internal stats, and export_telemetry()
 // publishes them from the owner's thread into a Trace once at the end.
 //

@@ -13,10 +13,9 @@
 //   * MmapStore — a memory-mapped CSR file for out-of-core workloads.
 //
 // Every backend must be a *value*: immutable after construction, safe for
-// concurrent readers (the engine's thread-pool fan-out) with no external
-// synchronization. Probe accounting uses relaxed atomics internally, so
-// stats() is likewise safe to call at any time; the probe totals are a pure
-// function of the engine's work, not of the thread count.
+// concurrent readers with no external synchronization. Probe accounting
+// uses relaxed atomics internally, so stats() is likewise safe to call at
+// any time; the probe totals are a pure function of the engine's work.
 //
 // Contract every backend must honor bit for bit (the cross-backend
 // equivalence suite enforces it):

@@ -1,22 +1,11 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace xh {
-namespace {
-
-/// Upper bound on chunks per lane: enough slack for load balancing without
-/// drowning small inputs in scheduling overhead.
-constexpr std::size_t kChunksPerLane = 4;
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t lanes) {
-  if (lanes == 0) {
-    lanes = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  XH_REQUIRE(lanes >= 1, "ThreadPool needs at least one lane");
   workers_.reserve(lanes - 1);
   for (std::size_t i = 0; i + 1 < lanes; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -30,39 +19,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (auto& t : workers_) t.join();
-}
-
-std::size_t ThreadPool::chunk_count(std::size_t n, std::size_t grain) const {
-  if (n == 0) return 0;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t by_grain = (n + grain - 1) / grain;
-  return std::clamp<std::size_t>(by_grain, 1, lanes() * kChunksPerLane);
-}
-
-void ThreadPool::chunk_bounds(std::size_t n, std::size_t chunks,
-                              std::size_t chunk, std::size_t* begin,
-                              std::size_t* end) {
-  *begin = chunk * n / chunks;
-  *end = (chunk + 1) * n / chunks;
-}
-
-void ThreadPool::drain_job(Job& job, std::unique_lock<std::mutex>& lock) {
-  while (job.next < job.chunks) {
-    const std::size_t chunk = job.next++;
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      chunk_bounds(job.n, job.chunks, chunk, &begin, &end);
-      (*job.fn)(chunk, begin, end);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error && !job.error) job.error = error;
-    if (++job.done == job.chunks) done_cv_.notify_all();
-  }
 }
 
 void ThreadPool::run_one_task(std::unique_lock<std::mutex>& lock) {
@@ -84,19 +40,10 @@ void ThreadPool::run_one_task(std::unique_lock<std::mutex>& lock) {
 
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
-  std::size_t seen_generation = 0;
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return stop_ || (job_ != nullptr && generation_ != seen_generation) ||
-             !tasks_.empty();
-    });
+    work_cv_.wait(lock, [&] { return stop_ || !tasks_.empty(); });
     if (stop_) return;
-    if (job_ != nullptr && generation_ != seen_generation) {
-      seen_generation = generation_;
-      drain_job(*job_, lock);
-      continue;
-    }
-    if (!tasks_.empty()) run_one_task(lock);
+    run_one_task(lock);
   }
 }
 
@@ -129,37 +76,6 @@ void ThreadPool::drain() {
 std::size_t ThreadPool::pending_tasks() const {
   std::lock_guard<std::mutex> lock(mu_);
   return tasks_.size();
-}
-
-void ThreadPool::parallel_chunks(std::size_t n, std::size_t grain,
-                                 const ChunkFn& fn) {
-  const std::size_t chunks = chunk_count(n, grain);
-  if (chunks == 0) return;
-  if (chunks == 1 || workers_.empty()) {
-    // Serial fast path: no locking, no handoff.
-    for (std::size_t c = 0; c < chunks; ++c) {
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      chunk_bounds(n, chunks, c, &begin, &end);
-      fn(c, begin, end);
-    }
-    return;
-  }
-
-  Job job;
-  job.fn = &fn;
-  job.n = n;
-  job.chunks = chunks;
-  std::unique_lock<std::mutex> lock(mu_);
-  XH_ASSERT(job_ == nullptr, "ThreadPool::parallel_chunks is not reentrant");
-  job_ = &job;
-  ++generation_;
-  work_cv_.notify_all();
-  drain_job(job, lock);  // the caller is a lane too
-  done_cv_.wait(lock, [&] { return job.done == job.chunks; });
-  job_ = nullptr;
-  lock.unlock();
-  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace xh

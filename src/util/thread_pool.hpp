@@ -1,23 +1,12 @@
-// Minimal fork-join thread pool for data-parallel fan-out.
+// Minimal task-queue thread pool for the service layer.
 //
-// The pool owns N-1 persistent worker threads; the caller of
-// parallel_chunks() is the N-th lane, so a pool of size 1 degenerates to a
-// plain serial loop with no synchronization at all. Work is handed out as
-// contiguous index chunks whose boundaries depend only on (n, grain, lanes) —
-// never on thread scheduling — so callers that merge per-chunk results in
-// chunk order get bit-identical output for any timing and any pool size.
-//
-// Exceptions thrown by the chunk function are caught, the first one is
-// retained, and it is rethrown on the calling thread after every chunk has
-// finished (no worker ever dies, no chunk is skipped mid-flight).
-//
-// Alongside the fork-join path, the pool carries a fire-and-forget task
-// queue (post()/drain()) used by the service layer: tasks run on the
-// same workers, a throwing task can never wedge the pool — the first
-// exception is captured and rethrown on whichever thread calls drain() —
-// and the destructor discards tasks that never started. Tasks must not
-// call back into the pool (no post-from-task fan-out, no nested
-// parallel_chunks on the same pool).
+// The pool owns N-1 persistent worker threads for N lanes; the caller of
+// drain() is the N-th lane, so a pool of size 1 spawns no workers and
+// drain() runs every queued task on the calling thread. Tasks posted with
+// post() run on the workers; a throwing task can never wedge the pool —
+// the first exception is captured and rethrown on whichever thread calls
+// drain() — and the destructor discards tasks that never started. Tasks
+// must not call back into the pool (no post-from-task fan-out).
 #pragma once
 
 #include <condition_variable>
@@ -33,31 +22,13 @@ namespace xh {
 
 class ThreadPool {
  public:
-  /// Function applied to one chunk: fn(chunk_index, begin, end) with
-  /// 0 <= begin < end <= n.
-  using ChunkFn =
-      std::function<void(std::size_t, std::size_t, std::size_t)>;
-
-  /// Creates a pool with @p lanes total execution lanes (the caller counts
-  /// as one, so lanes - 1 workers are spawned). 0 picks the hardware
-  /// concurrency.
-  explicit ThreadPool(std::size_t lanes = 0);
+  /// Creates a pool with @p lanes total execution lanes (the drain() caller
+  /// counts as one, so lanes - 1 workers are spawned). Requires lanes >= 1.
+  explicit ThreadPool(std::size_t lanes);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total execution lanes (workers + the calling thread).
-  std::size_t lanes() const { return workers_.size() + 1; }
-
-  /// Number of chunks parallel_chunks() will split [0, n) into, given a
-  /// minimum chunk size of @p grain. Deterministic in (n, grain, lanes());
-  /// callers use it to pre-size per-chunk result slots.
-  std::size_t chunk_count(std::size_t n, std::size_t grain) const;
-
-  /// Runs fn over every chunk of [0, n) and blocks until all complete.
-  /// The calling thread participates; rethrows the first exception.
-  void parallel_chunks(std::size_t n, std::size_t grain, const ChunkFn& fn);
 
   /// Enqueues @p task for execution on a worker thread (or on the next
   /// drain() caller when the pool has no workers). Never blocks. A task
@@ -74,31 +45,14 @@ class ThreadPool {
   std::size_t pending_tasks() const;
 
  private:
-  struct Job {
-    const ChunkFn* fn = nullptr;
-    std::size_t n = 0;
-    std::size_t chunks = 0;
-    std::size_t next = 0;  // next chunk to hand out (under mutex)
-    std::size_t done = 0;  // chunks fully executed (under mutex)
-    std::exception_ptr error;
-  };
-
   void worker_loop();
-  /// Executes chunks of the current job until none remain. Returns once
-  /// this thread cannot obtain further chunks (others may still run).
-  void drain_job(Job& job, std::unique_lock<std::mutex>& lock);
   /// Pops and runs one queued task; @p lock is held on entry and exit but
   /// released around the task body. Captures the task's exception.
   void run_one_task(std::unique_lock<std::mutex>& lock);
-  static void chunk_bounds(std::size_t n, std::size_t chunks,
-                           std::size_t chunk, std::size_t* begin,
-                           std::size_t* end);
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers wait for a job / shutdown
-  std::condition_variable done_cv_;  // caller waits for job completion
-  Job* job_ = nullptr;               // active job, nullptr when idle
-  std::size_t generation_ = 0;       // bumped per job so workers re-check
+  std::condition_variable work_cv_;  // workers wait for a task / shutdown
+  std::condition_variable done_cv_;  // drain() waits for in-flight tasks
   bool stop_ = false;
   std::deque<std::function<void()>> tasks_;
   std::size_t tasks_active_ = 0;          // posted tasks mid-execution

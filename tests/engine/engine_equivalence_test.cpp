@@ -1,9 +1,9 @@
 // Randomized equivalence suite: the incremental PartitionEngine must be
 // bit-identical to the retained seed partitioner (the oracle) — same split
 // history, same partitions, same masks, same control-bit totals — for any
-// geometry, density, seed and split-cell policy, and for any thread-pool
-// size. This is the contract that lets partition_patterns() delegate to the
-// engine without a behavioral release note.
+// geometry, density, seed and split-cell policy. This is the contract that
+// lets partition_patterns() delegate to the engine without a behavioral
+// release note.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,11 +15,9 @@
 #include "core/partitioner.hpp"
 #include "engine/partition_engine.hpp"
 #include "engine/pipeline_context.hpp"
-#include "obs/trace.hpp"
 #include "storage/store_factory.hpp"
 #include "storage/x_matrix_store.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/industrial.hpp"
 
 namespace xh {
@@ -115,37 +113,12 @@ TEST(EngineEquivalence, MatchesSeedWhenSplittingExhaustively) {
   }
 }
 
-// Pool-backed analysis must produce the same bits as the serial path for
-// any lane count: chunk boundaries are deterministic and chunk results are
-// merged in chunk order.
-TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResult) {
-  Rng rng(4242);
-  for (int iter = 0; iter < 6; ++iter) {
-    const XMatrix xm = random_matrix(rng);
-    PartitionerConfig cfg;
-    cfg.misr = {32, 7};
-    cfg.cell_choice = SplitCellChoice::kRandom;
-    cfg.seed = rng.next_u64();
-    const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-    PartitionEngine serial(*store, cfg, nullptr);
-    const PartitionResult want = serial.run();
-    for (const std::size_t lanes : {2u, 3u, 5u}) {
-      ThreadPool pool(lanes);
-      PartitionEngine engine(*store, cfg, &pool);
-      expect_identical(want, engine.run(),
-                       "iter " + std::to_string(iter) + " lanes " +
-                           std::to_string(lanes));
-    }
-  }
-}
-
-// The small matrices above stay under the engine's parallel grain, so each
-// pooled analysis runs as one chunk. This matrix has over 10k X rows, which
-// splits the root sweep (and the early rounds) into several chunks whose
-// buffers must be read back in chunk order.
-TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResultAcrossChunks) {
+// The random matrices above have at most a few hundred X rows. This one has
+// over 10k, so the root sweep and the early rounds group records at a scale
+// where the open-addressing table is large and probe chains are long.
+TEST(EngineEquivalence, MatchesSeedOnMatrixWithOverTenThousandXRows) {
   WorkloadProfile profile;
-  profile.name = "multi-chunk";
+  profile.name = "ten-thousand-rows";
   profile.geometry = {32, 500};
   profile.num_patterns = 128;
   profile.x_density = 0.04;
@@ -165,20 +138,8 @@ TEST(EngineEquivalence, PoolSizeDoesNotChangeTheResultAcrossChunks) {
   const PartitionResult want = partition_patterns_reference(xm, cfg);
   ASSERT_EQ(want.history.size(), cfg.max_rounds + 1);
   const std::unique_ptr<XMatrixStore> store = make_store(xm, XmBackend::kCsr);
-  PartitionEngine serial(*store, cfg, nullptr);
-  expect_identical(want, serial.run(), "serial");
-  for (const std::size_t lanes : {2u, 3u, 5u}) {
-    const std::string label = "lanes " + std::to_string(lanes);
-    ThreadPool pool(lanes);
-    Trace trace;
-    PartitionEngine engine(*store, cfg, &pool, &trace);
-    expect_identical(want, engine.run(), label);
-    // One pool task per chunk: more tasks than analyses means at least one
-    // sweep was split.
-    EXPECT_GT(trace.counter("engine.pool_tasks").value,
-              trace.counter("engine.cell_analyses").value)
-        << label;
-  }
+  PartitionEngine engine(*store, cfg);
+  expect_identical(want, engine.run(), "engine");
 }
 
 // Two candidate groups tie on score, size and X count: cells 0 and 1 are X

@@ -121,36 +121,6 @@ TEST(CounterExactness, HybridGaugesMirrorTheReport) {
   EXPECT_DOUBLE_EQ(gauge("hybrid.total_bits"), rep.partitioning.total_bits);
 }
 
-TEST(CounterExactness, PooledAnalysisCountsAtMergePoints) {
-  // Counters accumulate only at deterministic merge points, so a pooled run
-  // must report the identical engine counters as a serial run (plus the
-  // pool-task counter, which only the pooled branch increments).
-  PartitionerConfig cfg;
-  cfg.misr = {10, 2};
-
-  Trace serial;
-  {
-    PipelineContext ctx(cfg);
-    ctx.set_trace(&serial);
-    (void)run_hybrid_analysis(paper_example_x_matrix(), ctx);
-  }
-  Trace pooled;
-  {
-    ThreadPool pool(3);
-    PipelineContext ctx(cfg, &pool);
-    ctx.set_trace(&pooled);
-    (void)run_hybrid_analysis(paper_example_x_matrix(), ctx);
-  }
-  EXPECT_EQ(counter(serial, "engine.pool_tasks"), 0u);
-  EXPECT_GT(counter(pooled, "engine.pool_tasks"), 0u);
-  for (const char* name :
-       {"engine.cell_analyses", "engine.rows_examined",
-        "engine.probes_attempted", "engine.probes_accepted",
-        "engine.probes_rejected_zero_copy"}) {
-    EXPECT_EQ(counter(serial, name), counter(pooled, name)) << name;
-  }
-}
-
 }  // namespace
 }  // namespace xh
 

@@ -4,107 +4,73 @@
 
 #include <atomic>
 #include <cstddef>
-#include <numeric>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 namespace xh {
 namespace {
 
-TEST(ThreadPool, ZeroLanesSelectsHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.lanes(), 1u);
+// There is no hardware-concurrency default: a pool needs at least the
+// drain() caller's lane.
+TEST(ThreadPool, ZeroLanesIsRejected) {
+  EXPECT_THROW(ThreadPool{0}, std::invalid_argument);
 }
 
-TEST(ThreadPool, ChunkCountIsDeterministicAndBounded) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.chunk_count(0, 100), 0u);
-  EXPECT_EQ(pool.chunk_count(1, 100), 1u);
-  EXPECT_EQ(pool.chunk_count(100, 100), 1u);
-  EXPECT_EQ(pool.chunk_count(101, 100), 2u);
-  // Large inputs are capped at a fixed multiple of the lane count, so the
-  // chunk layout depends only on (n, grain, lanes) — never on timing.
-  EXPECT_EQ(pool.chunk_count(1'000'000, 1), pool.lanes() * 4);
-  EXPECT_EQ(pool.chunk_count(1'000'000, 1), pool.chunk_count(1'000'000, 1));
-}
-
-// Every index in [0, n) is visited exactly once, chunks tile the range in
-// order, and this holds for awkward n / lane combinations.
-TEST(ThreadPool, ChunksCoverEveryIndexExactlyOnce) {
-  for (const std::size_t lanes : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(lanes);
-    for (const std::size_t n : {0u, 1u, 2u, 7u, 64u, 1000u, 4097u}) {
-      std::vector<std::atomic<int>> hits(n);
-      pool.parallel_chunks(n, 16, [&](std::size_t chunk, std::size_t begin,
-                                      std::size_t end) {
-        EXPECT_LE(begin, end);
-        EXPECT_LT(chunk, pool.chunk_count(n, 16));
-        for (std::size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " lanes " << lanes;
-      }
-    }
-  }
-}
-
+// Fewer tasks than workers: the idle workers must not keep drain() waiting,
+// and drain() must not return before the busy ones finish.
 TEST(ThreadPool, FewerItemsThanLanesStillCoversAll) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  pool.parallel_chunks(3, 1, [&](std::size_t, std::size_t begin,
-                                 std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(hits[0].load() + hits[1].load() + hits[2].load(), 3);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    pool.post([&hits, i] { hits[i].fetch_add(1, std::memory_order_relaxed); });
+  }
+  pool.drain();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+  }
 }
 
+// One failing task among many: drain() rethrows it after every task has run,
+// and the pool stays usable.
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_chunks(10'000, 1,
-                           [](std::size_t chunk, std::size_t, std::size_t) {
-                             if (chunk == 2) {
-                               throw std::runtime_error("chunk failure");
-                             }
-                           }),
-      std::runtime_error);
-  // The pool must stay usable after an exceptional job.
+  std::atomic<std::size_t> ran{0};
+  for (std::size_t i = 0; i < 1'000; ++i) {
+    pool.post([&ran, i] {
+      if (i == 2) throw std::runtime_error("task failure");
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_THROW(pool.drain(), std::runtime_error);
+  EXPECT_EQ(ran.load(), 999u);
   std::atomic<std::size_t> total{0};
-  pool.parallel_chunks(100, 10, [&](std::size_t, std::size_t begin,
-                                    std::size_t end) {
-    total.fetch_add(end - begin, std::memory_order_relaxed);
-  });
+  for (int i = 0; i < 100; ++i) {
+    pool.post([&total] { total.fetch_add(1, std::memory_order_relaxed); });
+  }
+  pool.drain();
   EXPECT_EQ(total.load(), 100u);
 }
 
-// Reuse after a drained (exceptional) job, alternating failing and clean
-// jobs so a stale Job pointer, unreset chunk cursor, or leaked
-// exception_ptr from the previous drain would surface immediately.
+// Alternating failing and clean batches, so a captured exception that
+// drain() failed to clear, or a stale in-flight count, surfaces at once.
 TEST(ThreadPool, ReuseAfterDrainAlternatingFailures) {
   for (const std::size_t lanes : {1u, 2u, 4u}) {
     ThreadPool pool(lanes);
     for (int round = 0; round < 8; ++round) {
-      EXPECT_THROW(
-          pool.parallel_chunks(
-              1'000, 1,
-              [](std::size_t chunk, std::size_t, std::size_t) {
-                if (chunk % 2 == 0) throw std::runtime_error("boom");
-              }),
-          std::runtime_error)
+      for (int i = 0; i < 100; ++i) {
+        pool.post([i] {
+          if (i % 2 == 0) throw std::runtime_error("boom");
+        });
+      }
+      EXPECT_THROW(pool.drain(), std::runtime_error)
           << "lanes " << lanes << " round " << round;
       std::vector<std::atomic<int>> hits(97);
-      pool.parallel_chunks(hits.size(), 4,
-                           [&](std::size_t, std::size_t begin,
-                               std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               hits[i].fetch_add(1,
-                                                 std::memory_order_relaxed);
-                             }
-                           });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        pool.post(
+            [&hits, i] { hits[i].fetch_add(1, std::memory_order_relaxed); });
+      }
+      pool.drain();
       for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i].load(), 1)
             << "lanes " << lanes << " round " << round << " index " << i;
@@ -113,43 +79,35 @@ TEST(ThreadPool, ReuseAfterDrainAlternatingFailures) {
   }
 }
 
-// A zero-size job is a no-op (the chunk function must never run) and must
-// leave the pool reusable.
+// Draining an empty queue is a no-op and leaves the pool reusable.
 TEST(ThreadPool, EmptyJobThenReuse) {
   ThreadPool pool(4);
-  pool.parallel_chunks(0, 16, [](std::size_t, std::size_t, std::size_t) {
-    FAIL() << "chunk function ran for n == 0";
-  });
+  pool.drain();
   std::atomic<std::size_t> total{0};
-  pool.parallel_chunks(64, 8, [&](std::size_t, std::size_t begin,
-                                  std::size_t end) {
-    total.fetch_add(end - begin, std::memory_order_relaxed);
-  });
+  for (int i = 0; i < 64; ++i) {
+    pool.post([&total] { total.fetch_add(1, std::memory_order_relaxed); });
+  }
+  pool.drain();
   EXPECT_EQ(total.load(), 64u);
 }
 
-// The single-lane degenerate pool (serial loop, no workers) follows the
-// same drain-and-reuse contract as the threaded configurations.
+// The single-lane pool (no workers) follows the same drain-and-reuse
+// contract as the threaded configurations, and keeps the exception type.
 TEST(ThreadPool, SingleLaneExceptionThenReuse) {
   ThreadPool pool(1);
-  EXPECT_EQ(pool.lanes(), 1u);
-  EXPECT_THROW(pool.parallel_chunks(
-                   10, 1,
-                   [](std::size_t chunk, std::size_t, std::size_t) {
-                     if (chunk == 0) throw std::logic_error("first chunk");
-                   }),
-               std::logic_error);
+  pool.post([] { throw std::logic_error("first task"); });
+  EXPECT_THROW(pool.drain(), std::logic_error);
   std::size_t visited = 0;
-  pool.parallel_chunks(10, 1, [&](std::size_t, std::size_t begin,
-                                  std::size_t end) {
-    visited += end - begin;  // single lane: no atomics needed
-  });
+  for (int i = 0; i < 10; ++i) {
+    pool.post([&visited] { ++visited; });  // single lane: no atomics needed
+  }
+  pool.drain();
   EXPECT_EQ(visited, 10u);
 }
 
-// Satellite regression: a submitted task that throws must not wedge
-// drain() or shutdown — the exception is captured and rethrown on the
-// drain() caller, and the pool stays fully usable afterwards.
+// A submitted task that throws must not wedge drain() or shutdown — the
+// exception is captured and rethrown on the drain() caller, and the pool
+// stays fully usable afterwards.
 TEST(ThreadPool, ThrowingTaskSurfacesAtDrainAndPoolSurvives) {
   ThreadPool pool(3);
   std::atomic<int> ran{0};
@@ -159,17 +117,13 @@ TEST(ThreadPool, ThrowingTaskSurfacesAtDrainAndPoolSurvives) {
   EXPECT_THROW(pool.drain(), std::runtime_error);
   EXPECT_EQ(ran.load(), 2);  // the throwing task never skipped its peers
 
-  // The error was consumed: a clean batch drains cleanly and the
-  // fork-join path still works on the same workers.
+  // The error was consumed: later batches drain cleanly on the same workers.
   pool.post([&] { ran.fetch_add(1); });
   pool.drain();
   EXPECT_EQ(ran.load(), 3);
-  std::atomic<std::uint64_t> total{0};
-  pool.parallel_chunks(64, 1, [&](std::size_t, std::size_t begin,
-                                  std::size_t end) {
-    total.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(total.load(), 64u);
+  for (int i = 0; i < 64; ++i) pool.post([&] { ran.fetch_add(1); });
+  pool.drain();
+  EXPECT_EQ(ran.load(), 67);
 }
 
 // With no workers at all, drain() itself executes the queue — including
@@ -204,18 +158,18 @@ TEST(ThreadPool, ManyTasksAllExecuteAcrossWorkers) {
   EXPECT_EQ(ran.load(), 200);
 }
 
+// Fifty post-then-drain batches on one pool: each batch sees every one of
+// its tasks and nothing left over from the previous one.
 TEST(ThreadPool, ReusableAcrossManyJobs) {
   ThreadPool pool(3);
   for (int job = 0; job < 50; ++job) {
     std::atomic<std::uint64_t> sum{0};
-    const std::size_t n = 257;
-    pool.parallel_chunks(n, 8, [&](std::size_t, std::size_t begin,
-                                   std::size_t end) {
-      std::uint64_t local = 0;
-      for (std::size_t i = begin; i < end; ++i) local += i;
-      sum.fetch_add(local, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n - 1) / 2);
+    const std::uint64_t n = 257;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      pool.post([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
+    }
+    pool.drain();
+    EXPECT_EQ(sum.load(), n * (n - 1) / 2) << "job " << job;
   }
 }
 

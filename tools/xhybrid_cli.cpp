@@ -5,11 +5,9 @@
 //
 //   xhybrid_cli analyze --chains N --length L --patterns P --density D
 //                       [--clustered F] [--misr-size M] [--misr-q Q]
-//                       [--seed S] [--save-xm file.xm] [--threads T]
+//                       [--seed S] [--save-xm file.xm]
 //       Generate a synthetic workload and print the hybrid analysis report;
-//       optionally save the X matrix for later runs. --threads T fans the
-//       partition engine's cell analysis out on T lanes (1 = serial,
-//       0 = all hardware threads); results are identical for any T.
+//       optionally save the X matrix for later runs.
 //
 //   Storage backend (analyze/circuit/serve): --xm-backend B picks the
 //   X-matrix store the partition engine reads from — csr (in-memory,
@@ -47,11 +45,8 @@
 //       round-boundary checkpoints that a rerun resumes bit-identically.
 //
 // Flags follow one kebab-case scheme (all commands): --strict / --lenient
-// pick the diagnostics mode, --threads T picks the pool width, and
-// --telemetry file.json dumps the run's xh::Trace as an xh-telemetry/1
-// document. The pre-consolidation spellings --misr, --q, --save and --load
-// survive as hidden deprecated aliases of --misr-size, --misr-q, --save-xm
-// and --load-xm.
+// pick the diagnostics mode, and --telemetry file.json dumps the run's
+// xh::Trace as an xh-telemetry/1 document.
 //
 // Robustness flags (all commands): --lenient attaches a structured
 // diagnostics collector so data mismatches degrade gracefully and are
@@ -97,7 +92,6 @@
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/industrial.hpp"
 
 namespace xh {
@@ -111,11 +105,11 @@ namespace {
       "  %s analyze --chains N --length L --patterns P --density D\n"
       "             [--clustered F] [--misr-size M] [--misr-q Q] [--seed S]\n"
       "             [--save-xm file.xm | --load-xm file.xm]\n"
-      "             [--strict | --lenient] [--threads T]\n"
+      "             [--strict | --lenient]\n"
       "             [--xm-backend B] [--isa I] [--telemetry file.json]\n"
       "  %s circuit <netlist.bench> [--chains N] [--patterns P]\n"
       "             [--misr-size M] [--misr-q Q] [--seed S]\n"
-      "             [--strict | --lenient] [--threads T]\n"
+      "             [--strict | --lenient]\n"
       "             [--xm-backend B] [--isa I] [--telemetry file.json]\n"
       "  %s inject --mode MODE [--count N] [--seed S]\n"
       "            [--strict | --lenient] [--telemetry file.json]\n"
@@ -134,9 +128,7 @@ namespace {
       "  auto|scalar|avx2|avx512 (default auto = best this CPU supports;\n"
       "  all bit-identical). The XH_ISA env variable overrides the flag.\n"
       "exit codes: 0 clean, 1 failure/diagnostic errors, 2 usage,\n"
-      "  3 deadline exceeded (degraded best-so-far result produced)\n"
-      "deprecated aliases (to be removed): --misr = --misr-size,\n"
-      "  --q = --misr-q, --save = --save-xm, --load = --load-xm\n",
+      "  3 deadline exceeded (degraded best-so-far result produced)\n",
       argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }
@@ -180,7 +172,6 @@ struct Options {
   std::size_t q = 7;
   std::uint64_t seed = 1;
   std::size_t count = 4;
-  std::size_t threads = 1;  // pipeline lanes; 0 = hardware concurrency
   XmBackend xm_backend = XmBackend::kAuto;  // X-matrix storage backend
   kernels::Isa isa = kernels::Isa::kAuto;   // kernel dispatch tier
   bool isa_given = false;                   // --isa seen on the command line
@@ -217,18 +208,14 @@ Options parse(int argc, char** argv, int from) {
       opt.density = arg_f64("--density", next());
     } else if (arg == "--clustered") {
       opt.clustered = arg_f64("--clustered", next());
-    } else if (arg == "--misr-size" || arg == "--misr") {
-      // --misr is a hidden deprecated alias of --misr-size.
+    } else if (arg == "--misr-size") {
       opt.misr = arg_size("--misr-size", next());
-    } else if (arg == "--misr-q" || arg == "--q") {
-      // --q is a hidden deprecated alias of --misr-q.
+    } else if (arg == "--misr-q") {
       opt.q = arg_size("--misr-q", next());
     } else if (arg == "--seed") {
       opt.seed = arg_u64("--seed", next());
     } else if (arg == "--count") {
       opt.count = arg_size("--count", next());
-    } else if (arg == "--threads") {
-      opt.threads = arg_size("--threads", next());
     } else if (arg == "--xm-backend") {
       const char* text = next();
       if (!parse_xm_backend(text, &opt.xm_backend)) {
@@ -268,11 +255,9 @@ Options parse(int argc, char** argv, int from) {
       opt.lenient = true;
     } else if (arg == "--strict") {
       opt.lenient = false;
-    } else if (arg == "--save-xm" || arg == "--save") {
-      // --save is a hidden deprecated alias of --save-xm.
+    } else if (arg == "--save-xm") {
       opt.save_path = next();
-    } else if (arg == "--load-xm" || arg == "--load") {
-      // --load is a hidden deprecated alias of --load-xm.
+    } else if (arg == "--load-xm") {
       opt.load_path = next();
     } else if (arg == "--telemetry") {
       opt.telemetry_path = next();
@@ -370,13 +355,6 @@ int finish_with_diagnostics(const Diagnostics& diags) {
   return diags.has_errors() ? 1 : 0;
 }
 
-/// Pool for --threads T: 1 means serial (no pool at all); anything else is
-/// handed to ThreadPool, where 0 selects the hardware concurrency.
-std::unique_ptr<ThreadPool> make_pool(std::size_t threads) {
-  if (threads == 1) return nullptr;
-  return std::make_unique<ThreadPool>(threads);
-}
-
 /// --timeout-ms plumbing: an armed deadline token, or nullptr when unset.
 std::unique_ptr<CancelToken> make_deadline(std::uint64_t timeout_ms) {
   if (timeout_ms == 0) return nullptr;
@@ -415,11 +393,10 @@ int cmd_example(Trace* trace) {
 }
 
 int cmd_analyze(const Options& opt, Trace* trace) {
-  const std::unique_ptr<ThreadPool> pool = make_pool(opt.threads);
   const std::unique_ptr<CancelToken> deadline = make_deadline(opt.timeout_ms);
   PartitionerConfig pcfg;
   pcfg.misr = {opt.misr, opt.q};
-  PipelineContext ctx(pcfg, pool.get());
+  PipelineContext ctx(pcfg);
   ctx.set_trace(trace);
   ctx.set_cancel(deadline.get());
   ctx.set_xm_backend(opt.xm_backend);
@@ -492,11 +469,10 @@ int cmd_circuit(const Options& opt, const char* argv0, Trace* trace) {
 
   TestApplicator app(nl, plan);
   const ResponseMatrix response = app.capture(atpg.patterns);
-  const std::unique_ptr<ThreadPool> pool = make_pool(opt.threads);
   const std::unique_ptr<CancelToken> deadline = make_deadline(opt.timeout_ms);
   PartitionerConfig pcfg;
   pcfg.misr = {opt.misr, opt.q};
-  PipelineContext ctx(pcfg, pool.get());
+  PipelineContext ctx(pcfg);
   ctx.set_trace(trace);
   ctx.set_cancel(deadline.get());
   ctx.set_xm_backend(opt.xm_backend);
