@@ -19,6 +19,7 @@ const std::vector<std::string>& telemetry_schema_names() {
       "cancel",
       "mask",
       "partition",
+      "read_xm",
       "simulation",
       "validate",
       // bench.* gauges (bench_partitioner / bench_robustness / bench_table1

@@ -7,6 +7,14 @@
 //   <cell> <pattern> <pattern> ...
 //   ...
 //   end <total_x>
+// Token grammar of the cell and trailer lines: tokens are separated by runs
+// of C-locale whitespace (space, \t, \v, \f, \r; so CRLF files load), and
+// every number is one or more unsigned decimal digits fitting in 64 bits —
+// the util/parse grammar, so a sign ("+7", "-0") is garbled input. The
+// trailer line starts with "end " exactly. Empty lines are skipped; a
+// whitespace-only line is a malformed cell line. Patterns within a line may
+// come in any order and repeat. The writer emits one space between tokens,
+// ascending patterns and '\n' line ends.
 //
 // ResponseMatrix format (dense; one row string per pattern, chars 0/1/X):
 //   response v1 <num_chains> <chain_length> <num_patterns>
@@ -31,8 +39,9 @@
 namespace xh {
 
 void write_x_matrix(const XMatrix& xm, std::ostream& out);
-/// The optional trace receives response_io.* counters (lines parsed, cell
-/// records, X entries); nullptr means no instrumentation.
+/// The optional trace receives a "read_xm" span and, on success, the
+/// response_io.* counters (lines parsed, cell records, X entries); nullptr
+/// means no instrumentation.
 [[nodiscard]] XMatrix read_x_matrix(std::istream& in,
                                     Diagnostics* diags = nullptr,
                                     Trace* trace = nullptr);

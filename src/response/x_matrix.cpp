@@ -1,6 +1,7 @@
 #include "response/x_matrix.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "kernels/kernels.hpp"
 
@@ -19,11 +20,21 @@ XMatrix::XMatrix(ScanGeometry geometry, std::size_t num_patterns)
 void XMatrix::add_x(std::size_t cell, std::size_t pattern) {
   XH_REQUIRE(cell < num_cells(), "cell index out of range");
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
-  auto [it, inserted] = cells_.try_emplace(cell, BitVec(num_patterns_));
-  if (!it->second.get(pattern)) {
-    it->second.set(pattern);
+  BitVec& row = cells_.try_emplace(cell, num_patterns_).first->second;
+  if (!row.get(pattern)) {
+    row.set(pattern);
     ++total_x_;
   }
+}
+
+bool XMatrix::add_cell(std::size_t cell, BitVec&& patterns) {
+  XH_REQUIRE(cell < num_cells(), "cell index out of range");
+  XH_REQUIRE(patterns.size() == num_patterns_, "cell row width mismatch");
+  const std::size_t x = patterns.count();
+  XH_REQUIRE(x > 0, "cell row has no X");
+  if (!cells_.try_emplace(cell, std::move(patterns)).second) return false;
+  total_x_ += x;
+  return true;
 }
 
 bool XMatrix::is_x(std::size_t cell, std::size_t pattern) const {

@@ -31,6 +31,13 @@ class XMatrix {
   /// Records that @p cell captures X under @p pattern. Idempotent.
   void add_x(std::size_t cell, std::size_t pattern);
 
+  /// Records a whole cell row at once: @p patterns (num_patterns bits, at
+  /// least one set) becomes the pattern set of @p cell. Returns false, and
+  /// leaves the matrix untouched, when the cell already has a row; throws
+  /// std::invalid_argument on an out-of-range cell or a row of the wrong
+  /// width or with no X.
+  [[nodiscard]] bool add_cell(std::size_t cell, BitVec&& patterns);
+
   bool is_x(std::size_t cell, std::size_t pattern) const;
 
   /// Cells that capture at least one X, ascending. Built fresh on every

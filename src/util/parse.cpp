@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -19,15 +18,14 @@ namespace {
 
 std::uint64_t parse_u64(const std::string& text) {
   if (text.empty()) bad_number(text, "empty");
-  // from_chars accepts no leading '+', whitespace or locale digits — exactly
-  // the strictness we want; '-' is rejected up front for a clearer message.
+  // scan_u64 rejects signs too; checking first gives a clearer message.
   if (text[0] == '-' || text[0] == '+') bad_number(text, "sign not allowed");
   std::uint64_t value = 0;
-  const char* first = text.data();
-  const char* last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value, 10);
+  const auto [ptr, ec] = scan_u64(text, value);
   if (ec == std::errc::result_out_of_range) bad_number(text, "overflow");
-  if (ec != std::errc() || ptr != last) bad_number(text, "not an integer");
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    bad_number(text, "not an integer");
+  }
   return value;
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "response/response_matrix.hpp"
 #include "util/rng.hpp"
@@ -27,6 +29,29 @@ TEST(XMatrix, AddIsIdempotent) {
   xm.add_x(0, 1);
   xm.add_x(0, 1);
   EXPECT_EQ(xm.total_x(), 1u);
+}
+
+TEST(XMatrix, AddCellInsertsARowOnceAndRejectsADuplicate) {
+  XMatrix xm({2, 3}, 70);
+  BitVec row(70);
+  row.set(1);
+  row.set(69);
+  EXPECT_TRUE(xm.add_cell(4, std::move(row)));
+  EXPECT_EQ(xm.total_x(), 2u);
+  EXPECT_TRUE(xm.is_x(4, 69));
+
+  BitVec again(70);
+  again.set(3);
+  EXPECT_FALSE(xm.add_cell(4, std::move(again)));
+  EXPECT_EQ(xm.total_x(), 2u);
+  EXPECT_FALSE(xm.is_x(4, 3));
+
+  BitVec one(70);
+  one.set(0);
+  EXPECT_THROW((void)xm.add_cell(6, BitVec(one)), std::invalid_argument);
+  EXPECT_THROW((void)xm.add_cell(0, BitVec(69, true)), std::invalid_argument);
+  EXPECT_THROW((void)xm.add_cell(0, BitVec(70)), std::invalid_argument);
+  EXPECT_EQ(xm.x_cells(), std::vector<std::size_t>{4});
 }
 
 TEST(XMatrix, XCellsSortedAndStable) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 namespace xh {
 namespace {
@@ -38,6 +41,21 @@ TEST(ParseU64, ErrorMessageNamesTheOffendingText) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("12abc"), std::string::npos);
   }
+}
+
+TEST(ScanU64, ReadsTheLeadingDigitsAndReportsWhereItStopped) {
+  std::uint64_t v = 0;
+  const std::string text = "123 45";
+  const auto [ptr, ec] = scan_u64(text, v);
+  EXPECT_EQ(ec, std::errc());
+  EXPECT_EQ(v, 123u);
+  EXPECT_EQ(ptr, text.data() + 3);
+  EXPECT_EQ(scan_u64("+1", v).ec, std::errc::invalid_argument);
+  EXPECT_EQ(scan_u64("-0", v).ec, std::errc::invalid_argument);
+  EXPECT_EQ(scan_u64(" 1", v).ec, std::errc::invalid_argument);
+  EXPECT_EQ(scan_u64("", v).ec, std::errc::invalid_argument);
+  EXPECT_EQ(scan_u64("18446744073709551616", v).ec,
+            std::errc::result_out_of_range);
 }
 
 TEST(ParseSize, MatchesU64) {
