@@ -26,7 +26,9 @@
 // inlined constexpr scalar reference. Smoke gates: the best vectorized
 // tier must beat the inline reference by >= 2x (warn-skipped on CPUs with
 // no vector tier), and the dispatched scalar table must stay within 5% of
-// the inline reference (the price of the function-pointer indirection).
+// a direct call of the same compiled scalar function (the price of the
+// function-pointer indirection), read as the median ratio over
+// interleaved repetitions.
 //
 // --xm-backend B picks the store for the traced telemetry run (default
 // csr), so the CI mmap leg exercises the whole engine through the mapped
@@ -127,15 +129,17 @@ BackendGaugeNames backend_gauge_names(const std::string& backend) {
 /// and_count-bound kernel microbench: the probe loop the engine spends its
 /// time in, reduced to its essence. Spans of 4096 words (32 KiB per
 /// operand — L1-resident, so the measurement is compute-bound, not a
-/// memory-bandwidth test) hammered through the inlined scalar reference
-/// and every dispatched table.
+/// memory-bandwidth test) hammered through the inlined scalar reference,
+/// a direct call of the scalar table's function, and every dispatched
+/// table.
 struct KernelBench {
   double ref_ms = 0.0;      // inlined kernels::scalar call, the baseline
-  double scalar_ms = 0.0;   // the SAME code through the dispatch table
+  double direct_ms = 0.0;   // direct call of the scalar table's function
+  double scalar_ms = 0.0;   // the SAME function through the dispatch table
   double best_ms = 0.0;     // fastest tier this CPU supports
   kernels::Isa best_isa = kernels::Isa::kScalar;
   double speedup = 0.0;          // ref_ms / best_ms
-  double scalar_overhead = 0.0;  // scalar_ms / ref_ms (indirection tax)
+  double scalar_overhead = 0.0;  // median of per-pair scalar/direct ratios
   bool counts_identical = true;  // every tier returned the same count
   std::vector<std::pair<const char*, double>> per_isa_ms;
 };
@@ -164,6 +168,14 @@ KernelBench bench_kernels(int reps) {
   // The accumulated count feeds the identity check below, so the compiler
   // cannot dead-code the timed loops.
   std::uint64_t acc = 0;
+  const auto table_pass = [&](const kernels::Kernels& k) {
+    return [&] {
+      acc = 0;
+      for (int it = 0; it < kIters; ++it) {
+        acc += k.and_count_words(a.data(), b.data(), kWords);
+      }
+    };
+  };
   kb.ref_ms = time_ms(
       [&] {
         acc = 0;
@@ -174,29 +186,57 @@ KernelBench bench_kernels(int reps) {
       reps);
   kb.counts_identical = acc == expected;
 
-  kb.best_ms = -1.0;
-  for (const kernels::Isa isa :
-       {kernels::Isa::kScalar, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+  // The indirection gate times the scalar table against a direct call of
+  // the very function it points to, so the two differ only in the call.
+  // (An inlined copy is separately compiled code whose speed moves with
+  // its placement.) Each repetition times the two back to back,
+  // alternating which goes first, and the gate reads the median of the
+  // per-repetition ratios, so drift between blocks cannot decide it. Both
+  // run the same code, so the ratios scatter around 1 with machine noise;
+  // 8·reps+1 repetitions (41 in the smoke run) keep the median of that
+  // scatter well inside the 5% budget.
+  const kernels::Kernels& scalar = kernels::table_for(kernels::Isa::kScalar);
+  const auto direct_pass = [&] {
+    acc = 0;
+    for (int it = 0; it < kIters; ++it) {
+      acc += kernels::scalar_and_count_words(a.data(), b.data(), kWords);
+    }
+  };
+  const auto scalar_pass = table_pass(scalar);
+  const auto timed_once = [&](const std::function<void()>& pass) {
+    const double ms = time_ms(pass, 1);
+    if (acc != expected) kb.counts_identical = false;
+    return ms;
+  };
+  std::vector<double> ratios;
+  kb.direct_ms = -1.0;
+  kb.scalar_ms = -1.0;
+  for (int r = 0; r < 8 * reps + 1; ++r) {
+    double direct = 0.0;
+    if (r % 2 == 0) direct = timed_once(direct_pass);
+    const double disp = timed_once(scalar_pass);
+    if (r % 2 != 0) direct = timed_once(direct_pass);
+    ratios.push_back(direct > 0.0 ? disp / direct : 0.0);
+    if (kb.direct_ms < 0.0 || direct < kb.direct_ms) kb.direct_ms = direct;
+    if (kb.scalar_ms < 0.0 || disp < kb.scalar_ms) kb.scalar_ms = disp;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  kb.scalar_overhead = ratios[ratios.size() / 2];
+  kb.per_isa_ms.emplace_back(scalar.name, kb.scalar_ms);
+  kb.best_ms = kb.scalar_ms;
+
+  for (const kernels::Isa isa : {kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
     if (!kernels::isa_supported(isa)) continue;
     const kernels::Kernels& k = kernels::table_for(isa);
-    const double ms = time_ms(
-        [&] {
-          acc = 0;
-          for (int it = 0; it < kIters; ++it) {
-            acc += k.and_count_words(a.data(), b.data(), kWords);
-          }
-        },
-        reps);
+    const double ms = time_ms(table_pass(k), reps);
     if (acc != expected) kb.counts_identical = false;
     kb.per_isa_ms.emplace_back(k.name, ms);
-    if (isa == kernels::Isa::kScalar) kb.scalar_ms = ms;
-    if (kb.best_ms < 0.0 || ms < kb.best_ms) {
+    if (ms < kb.best_ms) {
       kb.best_ms = ms;
       kb.best_isa = isa;
     }
   }
   kb.speedup = kb.best_ms > 0.0 ? kb.ref_ms / kb.best_ms : 0.0;
-  kb.scalar_overhead = kb.ref_ms > 0.0 ? kb.scalar_ms / kb.ref_ms : 0.0;
   return kb;
 }
 
@@ -369,10 +409,12 @@ int run(const BenchOptions& opt) {
   std::printf(
       "  },\n"
       "  \"kernel\": {\"and_count_ref_ms\": %.3f, "
+      "\"and_count_direct_ms\": %.3f, "
       "\"and_count_scalar_ms\": %.3f, \"and_count_best_ms\": %.3f, "
       "\"best_isa\": \"%s\", \"speedup\": %.2f, \"scalar_overhead\": %.3f, "
       "\"counts_identical\": %s}\n}\n",
-      kb.ref_ms, kb.scalar_ms, kb.best_ms, kernels::isa_name(kb.best_isa),
+      kb.ref_ms, kb.direct_ms, kb.scalar_ms, kb.best_ms,
+      kernels::isa_name(kb.best_isa),
       kb.speedup, kb.scalar_overhead, kb.counts_identical ? "true" : "false");
 
   if (!opt.trajectory_path.empty()) {
@@ -552,8 +594,9 @@ int run(const BenchOptions& opt) {
     }
     if (kb.scalar_overhead > 1.05) {
       std::fprintf(stderr,
-                   "FAIL: dispatched scalar table is %.3fx the inline "
-                   "reference, above the 1.05x indirection budget\n",
+                   "FAIL: dispatched scalar table is %.3fx a direct call "
+                   "of the same function (median of interleaved "
+                   "repetitions), above the 1.05x indirection budget\n",
                    kb.scalar_overhead);
       return 1;
     }

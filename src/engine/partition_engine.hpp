@@ -15,10 +15,11 @@
 //   * a probe is costed from running totals (no clone of the partition
 //     vector); a rejected probe therefore costs zero copies and leaves the
 //     engine state untouched;
-//   * each analysis sweeps the rows serially into a flat buffer of (count,
-//     hash, row) records, counts group sizes in one open-addressing table,
-//     and gathers the cells of the winning group only — no per-group
-//     storage.
+//   * each analysis sweeps the rows in 64-row blocks through the store's
+//     batched probes — count the block, then hash its grouped rows while
+//     they are in L1 — into a flat buffer of (count, hash, row) records,
+//     counts group sizes in one open-addressing table, and gathers the
+//     cells of the winning group only — no per-group storage.
 //
 // Per-round complexity: seed O(total_x_cells × pattern_words) per probe,
 // engine O(victim_cells × pattern_words) — the victim shrinks geometrically

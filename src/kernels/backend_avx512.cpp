@@ -5,8 +5,10 @@
 // so the file builds without global -m flags (see backend_avx2.cpp).
 //
 // Bit-identity with backend_scalar.hpp holds for the same reason as the
-// AVX2 tiling: AND/ANDN/XOR/popcount are exact, the accumulator lanes are
-// 64-bit, and the sub-tile tail is the scalar loop itself.
+// AVX2 tiling: AND/ANDN/XOR/popcount are exact and the accumulator lanes
+// are 64-bit. The count kernels finish their n % 8 tail with one masked
+// tile (masked-off lanes load as zero and read no memory); the mutating
+// kernels finish with the scalar loop.
 #include "kernels/backend_simd.hpp"
 
 #if XH_KERNELS_HAVE_X86
@@ -24,6 +26,12 @@ constexpr std::size_t kLaneWords = 8;  // 512 bits
 
 XH_AVX512_TARGET inline __m512i load(const std::uint64_t* p) {
   return _mm512_loadu_si512(p);
+}
+
+/// The first @p n < 8 words at @p p, zero in the other lanes.
+XH_AVX512_TARGET inline __m512i load_tail(const std::uint64_t* p,
+                                          std::size_t n) {
+  return _mm512_maskz_loadu_epi64(static_cast<__mmask8>((1u << n) - 1u), p);
 }
 
 // _mm512_reduce_add_epi64 expands through _mm512_undefined_epi32, whose
@@ -46,8 +54,8 @@ XH_AVX512_TARGET std::size_t popcount_words(const std::uint64_t* w,
   for (; i + kLaneWords <= n; i += kLaneWords) {
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(load(w + i)));
   }
-  return static_cast<std::size_t>(horizontal_sum(acc)) +
-         scalar::popcount_words(w + i, n - i);
+  acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(load_tail(w + i, n - i)));
+  return static_cast<std::size_t>(horizontal_sum(acc));
 }
 
 XH_AVX512_TARGET std::size_t and_count_words(const std::uint64_t* a,
@@ -59,8 +67,10 @@ XH_AVX512_TARGET std::size_t and_count_words(const std::uint64_t* a,
     const __m512i fused = _mm512_and_si512(load(a + i), load(b + i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(fused));
   }
-  return static_cast<std::size_t>(horizontal_sum(acc)) +
-         scalar::and_count_words(a + i, b + i, n - i);
+  const __m512i tail =
+      _mm512_and_si512(load_tail(a + i, n - i), load_tail(b + i, n - i));
+  acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(tail));
+  return static_cast<std::size_t>(horizontal_sum(acc));
 }
 
 XH_AVX512_TARGET std::size_t and_not_count_words(const std::uint64_t* a,
@@ -76,8 +86,12 @@ XH_AVX512_TARGET std::size_t and_not_count_words(const std::uint64_t* a,
         _mm512_and_si512(load(a + i), _mm512_xor_si512(load(b + i), ones));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(fused));
   }
-  return static_cast<std::size_t>(horizontal_sum(acc)) +
-         scalar::and_not_count_words(a + i, b + i, n - i);
+  // a's masked-off lanes are zero, so ~b's ones there count nothing.
+  const __m512i tail =
+      _mm512_and_si512(load_tail(a + i, n - i),
+                       _mm512_xor_si512(load_tail(b + i, n - i), ones));
+  acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(tail));
+  return static_cast<std::size_t>(horizontal_sum(acc));
 }
 
 XH_AVX512_TARGET void xor_words(std::uint64_t* dst, const std::uint64_t* src,

@@ -9,13 +9,19 @@
 #include "obs/trace.hpp"
 
 namespace xh::kernels {
+
+std::size_t scalar_and_count_words(const std::uint64_t* a,
+                                   const std::uint64_t* b, std::size_t n) {
+  return scalar::and_count_words(a, b, n);
+}
+
 namespace {
 
 constexpr Kernels kScalarTable = {
     Isa::kScalar,
     "scalar",
     &scalar::popcount_words,
-    &scalar::and_count_words,
+    &scalar_and_count_words,
     &scalar::and_not_count_words,
     &scalar::xor_words,
     &scalar::and_words_into,

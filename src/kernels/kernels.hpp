@@ -89,6 +89,12 @@ Isa detect_best();
 /// isa_supported(isa) — asking for an unsupported tier is a checked error.
 const Kernels& table_for(Isa isa);
 
+/// The scalar table's and_count_words entry as a plain out-of-line
+/// function: a direct call runs the very code the scalar table dispatches
+/// to, so timing one against the other prices the indirection alone.
+std::size_t scalar_and_count_words(const std::uint64_t* a,
+                                   const std::uint64_t* b, std::size_t n);
+
 /// Process-wide active table. First use resolves the XH_ISA environment
 /// override (invalid or unsupported values silently fall back to kAuto —
 /// the CLI re-validates the variable to warn); thereafter select() is the

@@ -53,6 +53,17 @@ std::vector<std::size_t> XMatrix::x_cells() const {
   return cells;
 }
 
+std::vector<XMatrix::Row> XMatrix::rows() const {
+  std::vector<Row> rows;
+  rows.reserve(cells_.size());
+  // Hash order never escapes: collected then sorted before returning.
+  // xh-lint: allow(XH-DET-002)
+  for (const auto& [cell, pats] : cells_) rows.push_back({cell, &pats});
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.cell < b.cell; });
+  return rows;
+}
+
 const BitVec& XMatrix::patterns_of(std::size_t cell) const {
   XH_REQUIRE(cell < num_cells(), "cell index out of range");
   const auto it = cells_.find(cell);

@@ -40,12 +40,28 @@ class XMatrix {
 
   bool is_x(std::size_t cell, std::size_t pattern) const;
 
-  /// Cells that capture at least one X, ascending. Built fresh on every
-  /// call (O(n log n)), which keeps concurrent readers safe — the previous
-  /// lazily-sorted mutable cache raced under parallel reads. Hot loops
-  /// should snapshot once (or freeze the matrix into an XMatrixStore, which
-  /// sorts exactly once at construction).
+  /// Number of cells that capture at least one X. O(1): callers that need
+  /// only the count must use this, not x_cells().size().
+  std::size_t num_x_cells() const { return cells_.size(); }
+
+  /// Cells that capture at least one X, ascending. Built and sorted fresh
+  /// on every call (O(n log n)), which keeps concurrent readers safe — the
+  /// previous lazily-sorted mutable cache raced under parallel reads. Call
+  /// it once per pass, never per cell; a pass that also reads each cell's
+  /// pattern set should use rows() instead.
   std::vector<std::size_t> x_cells() const;
+
+  /// One X-capturing cell and its pattern set.
+  struct Row {
+    std::size_t cell;
+    const BitVec* patterns;
+  };
+
+  /// Every X-capturing cell with its pattern set, ascending by cell: one
+  /// sorted walk of the map, so a consumer that reads each row (the
+  /// XMatrixStore builds) needs no patterns_of() lookup per cell. The
+  /// pointers stay valid until the matrix is next mutated.
+  std::vector<Row> rows() const;
 
   /// Pattern set of one cell (empty BitVec of num_patterns bits when the
   /// cell never captures X).

@@ -38,7 +38,7 @@ XStatistics compute_x_statistics(const XMatrix& xm) {
   s.num_cells = xm.num_cells();
   s.num_patterns = xm.num_patterns();
   s.total_x = xm.total_x();
-  s.x_capturing_cells = xm.x_cells().size();
+  s.x_capturing_cells = xm.num_x_cells();
   s.x_density = xm.x_density();
 
   std::map<std::size_t, std::size_t> by_count;

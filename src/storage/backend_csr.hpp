@@ -26,8 +26,9 @@ namespace xh {
 
 class CsrStore final : public XMatrixStore {
  public:
-  /// Snapshots @p xm. O(x_cells × pattern words); the source matrix can be
-  /// discarded or mutated afterwards without affecting the store.
+  /// Snapshots @p xm in one sorted walk of its rows, into arrays sized
+  /// once. O(x_cells × pattern words); the source matrix can be discarded
+  /// or mutated afterwards without affecting the store.
   explicit CsrStore(const XMatrix& xm);
 
   const char* backend_name() const override { return "csr"; }
@@ -45,6 +46,12 @@ class CsrStore final : public XMatrixStore {
                         const BitVec& patterns) const override;
   void intersect_into(std::size_t row, const BitVec& patterns,
                       BitVec* out) const override;
+  void count_in_rows(const std::uint32_t* rows, std::size_t n,
+                     const BitVec& patterns,
+                     std::size_t* counts) const override;
+  void hash_in_rows(const std::uint32_t* rows, std::size_t n,
+                    const BitVec& patterns,
+                    std::uint64_t* hashes) const override;
 
   // CSR-specific extras (word-level tests and the mmap builder reuse the
   // exact snapshot layout).

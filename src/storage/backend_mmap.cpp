@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "kernels/kernels.hpp"
-
+#include "storage/backend_words.hpp"
 #include "util/check.hpp"
 
 namespace xh {
@@ -65,8 +65,8 @@ MmapStore::MmapStore(const XMatrix& xm, const MmapStoreOptions& options)
       total_x_(xm.total_x()) {
   XH_REQUIRE(!options.path.empty(), "MmapStore needs a backing-file path");
   words_per_row_ = (num_patterns_ + 63) / 64;
-  const std::vector<std::size_t> cells = xm.x_cells();
-  num_rows_ = cells.size();
+  const std::vector<XMatrix::Row> rows = xm.rows();
+  num_rows_ = rows.size();
 
   FileHeader header;
   header.num_chains = geometry_.num_chains;
@@ -94,30 +94,27 @@ MmapStore::MmapStore(const XMatrix& xm, const MmapStoreOptions& options)
     if (!out) fail("cannot open " + tmp + " for writing");
     out.write(reinterpret_cast<const char*>(&header), sizeof header);
     pad_to(out, header.cells_off);
-    std::vector<std::uint64_t> scratch;
-    scratch.reserve(num_rows_);
-    for (const std::size_t cell : cells) {
-      scratch.push_back(static_cast<std::uint64_t>(cell));
-    }
-    write_u64s(out, scratch.data(), scratch.size());
-    pad_to(out, header.counts_off);
-    scratch.clear();
-    for (const std::size_t cell : cells) {
-      scratch.push_back(
-          static_cast<std::uint64_t>(xm.patterns_of(cell).count()));
-    }
-    write_u64s(out, scratch.data(), scratch.size());
-    pad_to(out, header.words_off);
-    scratch.clear();
-    for (const std::size_t cell : cells) {
-      const BitVec& pats = xm.patterns_of(cell);
-      XH_ASSERT(pats.word_count() == words_per_row_,
+    // One walk fills the cell and count sections; the row words stream
+    // straight from the matrix after them.
+    std::vector<std::uint64_t> cells;
+    std::vector<std::uint64_t> counts;
+    cells.reserve(num_rows_);
+    counts.reserve(num_rows_);
+    const auto popcount = kernels::active().popcount_words;
+    for (const XMatrix::Row& row : rows) {
+      XH_ASSERT(row.patterns->word_count() == words_per_row_,
                 "XMatrix row width disagrees with pattern count");
-      for (std::size_t w = 0; w < words_per_row_; ++w) {
-        scratch.push_back(pats.word(w));
-      }
+      cells.push_back(static_cast<std::uint64_t>(row.cell));
+      counts.push_back(static_cast<std::uint64_t>(
+          popcount(row.patterns->word_data(), words_per_row_)));
     }
-    write_u64s(out, scratch.data(), scratch.size());
+    write_u64s(out, cells.data(), cells.size());
+    pad_to(out, header.counts_off);
+    write_u64s(out, counts.data(), counts.size());
+    pad_to(out, header.words_off);
+    for (const XMatrix::Row& row : rows) {
+      write_u64s(out, row.patterns->word_data(), words_per_row_);
+    }
     pad_to(out, header.file_bytes);
     out.flush();
     if (!out) {
@@ -161,18 +158,25 @@ MmapStore::~MmapStore() {
   }
 }
 
-void MmapStore::note_row_pages(std::size_t row) const {
+std::uint64_t MmapStore::row_pages(std::size_t row) const {
   const std::uint64_t begin =
       words_off_ + row * words_per_row_ * sizeof(std::uint64_t);
   const std::uint64_t end = begin + words_per_row_ * sizeof(std::uint64_t);
-  if (end == begin) return;
-  note_pages((end - 1) / kPageSize - begin / kPageSize + 1);
+  if (end == begin) return 0;
+  return (end - 1) / kPageSize - begin / kPageSize + 1;
+}
+
+void MmapStore::note_rows_pages(const std::uint32_t* rows,
+                                std::size_t n) const {
+  std::uint64_t pages = 0;
+  for (std::size_t i = 0; i < n; ++i) pages += row_pages(rows[i]);
+  note_pages(pages);
 }
 
 std::size_t MmapStore::count_in(std::size_t row,
                                 const BitVec& patterns) const {
   note_count_in();
-  note_row_pages(row);
+  note_pages(row_pages(row));
   return kernels::active().and_count_words(
       row_words(row), patterns.word_data(), words_per_row_);
 }
@@ -180,20 +184,33 @@ std::size_t MmapStore::count_in(std::size_t row,
 std::uint64_t MmapStore::hash_in(std::size_t row,
                                  const BitVec& patterns) const {
   note_hash_in();
-  note_row_pages(row);
-  const std::uint64_t* words = row_words(row);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    h ^= words[w] & patterns.word(w);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  note_pages(row_pages(row));
+  return row_words::hash(row_words(row), patterns.word_data(),
+                         words_per_row_);
+}
+
+void MmapStore::count_in_rows(const std::uint32_t* rows, std::size_t n,
+                              const BitVec& patterns,
+                              std::size_t* counts) const {
+  note_count_in(n);
+  note_rows_pages(rows, n);
+  row_words::count_rows(words_, words_per_row_, rows, n, patterns.word_data(),
+                        counts);
+}
+
+void MmapStore::hash_in_rows(const std::uint32_t* rows, std::size_t n,
+                             const BitVec& patterns,
+                             std::uint64_t* hashes) const {
+  note_hash_in(n);
+  note_rows_pages(rows, n);
+  row_words::hash_rows(words_, words_per_row_, rows, n, patterns.word_data(),
+                       hashes);
 }
 
 void MmapStore::intersect_into(std::size_t row, const BitVec& patterns,
                                BitVec* out) const {
   note_intersect();
-  note_row_pages(row);
+  note_pages(row_pages(row));
   out->resize(num_patterns_);
   // Tail-safe raw write: patterns' tail bits are zero, so the AND's are too.
   kernels::active().and_words_into(out->word_data(), row_words(row),

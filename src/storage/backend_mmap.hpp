@@ -53,9 +53,9 @@ class MmapStore final : public XMatrixStore {
   /// runtime page size) so pages_touched is machine-independent.
   static constexpr std::uint64_t kPageSize = 4096;
 
-  /// Builds the backing file from @p xm and maps it read-only. Throws
-  /// std::ios_base::failure when the filesystem refuses (transient to the
-  /// service retry policy).
+  /// Builds the backing file from @p xm in one sorted walk of its rows and
+  /// maps it read-only. Throws std::ios_base::failure when the filesystem
+  /// refuses (transient to the service retry policy).
   MmapStore(const XMatrix& xm, const MmapStoreOptions& options);
   ~MmapStore() override;
 
@@ -78,6 +78,12 @@ class MmapStore final : public XMatrixStore {
                         const BitVec& patterns) const override;
   void intersect_into(std::size_t row, const BitVec& patterns,
                       BitVec* out) const override;
+  void count_in_rows(const std::uint32_t* rows, std::size_t n,
+                     const BitVec& patterns,
+                     std::size_t* counts) const override;
+  void hash_in_rows(const std::uint32_t* rows, std::size_t n,
+                    const BitVec& patterns,
+                    std::uint64_t* hashes) const override;
 
   std::size_t words_per_row() const { return words_per_row_; }
   /// Size of the mapped backing file.
@@ -94,7 +100,9 @@ class MmapStore final : public XMatrixStore {
     return words_ + row * words_per_row_;
   }
   /// Pages spanned by row @p row's word payload (the page-fault proxy).
-  void note_row_pages(std::size_t row) const;
+  std::uint64_t row_pages(std::size_t row) const;
+  /// Accounts the pages of @p n rows (one counter update per batch).
+  void note_rows_pages(const std::uint32_t* rows, std::size_t n) const;
 
   ScanGeometry geometry_;
   std::size_t num_patterns_ = 0;

@@ -10,16 +10,18 @@ namespace xh {
 TebmStore::TebmStore(const XMatrix& xm)
     : geometry_(xm.geometry()),
       num_patterns_(xm.num_patterns()),
-      total_x_(xm.total_x()),
-      cells_(xm.x_cells()) {
+      total_x_(xm.total_x()) {
   words_per_row_ = (num_patterns_ + 63) / 64;
-  counts_.reserve(cells_.size());
-  row_tags_.reserve(cells_.size());
-  row_lits_.reserve(cells_.size());
-  for (const std::size_t cell : cells_) {
-    const BitVec& pats = xm.patterns_of(cell);
+  const std::vector<XMatrix::Row> rows = xm.rows();
+  cells_.reserve(rows.size());
+  counts_.reserve(rows.size());
+  row_tags_.reserve(rows.size());
+  row_lits_.reserve(rows.size());
+  for (const XMatrix::Row& row : rows) {
+    const BitVec& pats = *row.patterns;
     XH_ASSERT(pats.word_count() == words_per_row_,
               "XMatrix row width disagrees with pattern count");
+    cells_.push_back(row.cell);
     counts_.push_back(pats.count());
     row_tags_.push_back(tags_.size());
     row_lits_.push_back(lits_.size());

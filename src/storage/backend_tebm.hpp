@@ -43,8 +43,9 @@ class TebmStore final : public XMatrixStore {
   /// Words of the pattern axis covered by one top-level tree (256 patterns).
   static constexpr std::size_t kChunkWords = 4;
 
-  /// Freezes and compresses @p xm. O(x_cells × pattern words) once; the
-  /// source matrix is independent afterwards.
+  /// Freezes and compresses @p xm in one sorted walk of its rows.
+  /// O(x_cells × pattern words) once; the source matrix is independent
+  /// afterwards.
   explicit TebmStore(const XMatrix& xm);
 
   const char* backend_name() const override { return "tebm"; }

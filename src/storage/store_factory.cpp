@@ -57,7 +57,7 @@ bool parse_xm_backend(std::string_view name, XmBackend* out) {
 }
 
 std::uint64_t estimate_csr_bytes(const XMatrix& xm) {
-  const std::uint64_t rows = xm.x_cells().size();
+  const std::uint64_t rows = xm.num_x_cells();
   const std::uint64_t words_per_row = (xm.num_patterns() + 63) / 64;
   // Row payload + the two per-row metadata arrays (cell id, count).
   return rows * (words_per_row * sizeof(std::uint64_t) +

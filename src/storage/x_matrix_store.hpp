@@ -24,7 +24,10 @@
 //     the same 64-bit word sequence — hash_in in particular must fold EVERY
 //     word (including all-zero ones) through the FNV-1a step, because the
 //     seed partitioner's set_hash does;
-//   * intersect_into resizes the output to num_patterns().
+//   * intersect_into resizes the output to num_patterns();
+//   * the batched probes count_in_rows/hash_in_rows return, row for row,
+//     what count_in/hash_in return, and advance every counter (including
+//     mmap's pages_touched) by exactly the per-row totals.
 #pragma once
 
 #include <atomic>
@@ -91,6 +94,18 @@ class XMatrixStore {
   virtual void intersect_into(std::size_t row, const BitVec& patterns,
                               BitVec* out) const = 0;
 
+  /// Batched count_in: counts[i] = count_in(rows[i], patterns) for i < n.
+  /// The default loops over count_in; word-span backends override it with
+  /// one kernel lookup and one counter update per batch.
+  virtual void count_in_rows(const std::uint32_t* rows, std::size_t n,
+                             const BitVec& patterns,
+                             std::size_t* counts) const;
+
+  /// Batched hash_in: hashes[i] = hash_in(rows[i], patterns) for i < n.
+  virtual void hash_in_rows(const std::uint32_t* rows, std::size_t n,
+                            const BitVec& patterns,
+                            std::uint64_t* hashes) const;
+
   /// popcount(row & ~patterns), fused from the precomputed row count.
   std::size_t and_not_count(std::size_t row, const BitVec& patterns) const {
     return x_count(row) - count_in(row, patterns);
@@ -104,11 +119,11 @@ class XMatrixStore {
   virtual std::uint64_t resident_bytes() const = 0;
   virtual std::uint64_t mapped_bytes() const { return 0; }
 
-  void note_count_in() const {
-    probe_count_in_.fetch_add(1, std::memory_order_relaxed);
+  void note_count_in(std::uint64_t rows = 1) const {
+    probe_count_in_.fetch_add(rows, std::memory_order_relaxed);
   }
-  void note_hash_in() const {
-    probe_hash_in_.fetch_add(1, std::memory_order_relaxed);
+  void note_hash_in(std::uint64_t rows = 1) const {
+    probe_hash_in_.fetch_add(rows, std::memory_order_relaxed);
   }
   void note_intersect() const {
     probe_intersect_.fetch_add(1, std::memory_order_relaxed);

@@ -142,6 +142,53 @@ TEST(EngineEquivalence, MatchesSeedOnMatrixWithOverTenThousandXRows) {
   expect_identical(want, engine.run(), "engine");
 }
 
+// The engine sweeps candidates in 64-row blocks. Candidate lists one short
+// of, exactly at and one past one and two blocks must group, split and mask
+// exactly like the seed oracle on every backend (TEBM takes the per-row
+// default of the batched probes). Groups straddle every block edge, and
+// every ninth cell is X under all patterns, so each block mixes masked,
+// grouped and (after splits) empty rows.
+TEST(EngineEquivalence, MatchesSeedAtTheSweepBlockBoundary) {
+  for (const std::size_t rows : {63u, 64u, 65u, 127u, 128u, 129u}) {
+    XMatrix xm({3, 50}, 70);
+    Rng rng(rows);
+    for (std::size_t cell = 0; cell < rows; ++cell) {
+      if (cell % 9 == 4) {
+        for (std::size_t p = 0; p < xm.num_patterns(); ++p) xm.add_x(cell, p);
+        continue;
+      }
+      const std::size_t band = cell % 4;
+      for (std::size_t p = band * 16; p < band * 16 + 12; ++p) {
+        xm.add_x(cell, p);
+      }
+      xm.add_x(cell, 64 + static_cast<std::size_t>(rng.below(6)));
+    }
+    ASSERT_EQ(xm.num_x_cells(), rows);
+
+    for (const XmBackend backend :
+         {XmBackend::kCsr, XmBackend::kTebm, XmBackend::kMmap}) {
+      const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
+      for (const std::size_t max_rounds : {0u, 20u}) {
+        for (const SplitCellChoice choice :
+             {SplitCellChoice::kLowestIndex, SplitCellChoice::kRandom}) {
+          PartitionerConfig cfg;
+          cfg.misr = {32, 7};
+          cfg.stop_on_cost_increase = false;
+          cfg.max_rounds = max_rounds;
+          cfg.cell_choice = choice;
+          cfg.seed = rows;
+          PartitionEngine engine(*store, cfg);
+          expect_identical(partition_patterns_reference(xm, cfg),
+                           engine.run(),
+                           std::string(store->backend_name()) + " rows " +
+                               std::to_string(rows) + " max_rounds " +
+                               std::to_string(max_rounds));
+        }
+      }
+    }
+  }
+}
+
 // Two candidate groups tie on score, size and X count: cells 0 and 1 are X
 // under patterns {2, 3}, cells 2 and 3 under {0, 1}. The rule is that the
 // lower (count, hash) key wins, which is the order the seed partitioner's

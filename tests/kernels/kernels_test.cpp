@@ -58,10 +58,12 @@ TEST(KernelsDifferential, CountKernelsMatchScalarOnEverySpanSize) {
   for (const kernels::Isa isa : supported_isas()) {
     SCOPED_TRACE(kernels::isa_name(isa));
     const kernels::Kernels& k = kernels::table_for(isa);
-    // Sizes straddle the AVX2 (4-word) and AVX-512 (8-word) tile widths.
+    // Sizes straddle the AVX2 (4-word) and AVX-512 (8-word) tile widths:
+    // every sub-tile span 1..7 (the AVX-512 masked tail alone) and 47, the
+    // row width at 3000 patterns (five tiles plus a 7-word tail).
     for (const std::size_t n :
-         {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 11u, 15u, 16u, 17u, 31u, 32u,
-          33u, 63u, 64u, 65u, 100u}) {
+         {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u, 15u, 16u, 17u, 31u,
+          32u, 33u, 47u, 63u, 64u, 65u, 100u}) {
       const auto a = random_words(rng, n);
       const auto b = random_words(rng, n);
       EXPECT_EQ(k.popcount_words(a.data(), n),

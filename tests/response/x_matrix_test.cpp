@@ -62,6 +62,15 @@ TEST(XMatrix, XCellsSortedAndStable) {
   EXPECT_EQ(xm.x_cells(), (std::vector<std::size_t>{2, 4, 7}));
   xm.add_x(0, 0);
   EXPECT_EQ(xm.x_cells(), (std::vector<std::size_t>{0, 2, 4, 7}));
+  EXPECT_EQ(xm.num_x_cells(), 4u);
+
+  // rows() is the same ascending listing, paired with each cell's row.
+  const std::vector<XMatrix::Row> rows = xm.rows();
+  ASSERT_EQ(rows.size(), 4u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].cell, xm.x_cells()[i]);
+    EXPECT_EQ(rows[i].patterns, &xm.patterns_of(rows[i].cell));
+  }
 }
 
 TEST(XMatrix, PatternsOfReturnsEmptyForCleanCell) {

@@ -111,6 +111,89 @@ TEST(StoreContract, ProbesAgreeWithBitVecFormulationOnEveryBackend) {
   }
 }
 
+/// Subsets that put all-zero words at the start, middle and end of the
+/// pattern axis, plus a dense one and the empty one.
+std::vector<BitVec> probe_subsets(std::size_t patterns, Rng& rng) {
+  std::vector<BitVec> subsets(5, BitVec(patterns));
+  for (std::size_t p = 0; p < patterns; ++p) {
+    if (rng.chance(0.6)) subsets[0].set(p);
+    if ((p / 64) % 3 == 1 && rng.chance(0.5)) subsets[1].set(p);
+  }
+  subsets[1].set(0);
+  subsets[2].set(patterns - 1);  // a leading zero run only
+  subsets[3].set(0);             // a trailing zero run only
+  return subsets;                // subsets[4] stays empty
+}
+
+// The batched probes must return, row for row, what the per-row probes
+// return, and advance every counter (mmap's page proxy included) by exactly
+// the per-row totals. Batch sizes straddle the 4-row hash interleave and
+// the engine's 64-row block; widths straddle word boundaries up to the 47
+// words of 3000 patterns. Rows are drawn at random, repeats included.
+TEST(StoreContract, BatchedProbesMatchPerRowProbesOnEveryBackend) {
+  for (const std::size_t patterns : {1u, 63u, 64u, 65u, 130u, 3000u}) {
+    XMatrix xm({4, 80}, patterns);
+    Rng fill(patterns);
+    for (std::size_t cell = 0; cell < xm.num_cells(); ++cell) {
+      if (cell % 5 == 0) continue;  // cells with no X get no row
+      xm.add_x(cell, static_cast<std::size_t>(fill.below(patterns)));
+      for (std::size_t p = 0; p < patterns; ++p) {
+        if (fill.chance(0.3)) xm.add_x(cell, p);
+      }
+    }
+    Rng pick(patterns + 7);
+    const std::vector<BitVec> subsets = probe_subsets(patterns, pick);
+    for (const XmBackend backend : kAllBackends) {
+      const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
+      ASSERT_GT(store->num_rows(), 200u);
+      for (std::size_t si = 0; si < subsets.size(); ++si) {
+        const BitVec& subset = subsets[si];
+        for (const std::size_t n :
+             {0u, 1u, 3u, 4u, 5u, 63u, 64u, 65u, 200u}) {
+          SCOPED_TRACE(std::string(store->backend_name()) + " patterns " +
+                       std::to_string(patterns) + " subset " +
+                       std::to_string(si) + " n " + std::to_string(n));
+          std::vector<std::uint32_t> rows(n);
+          for (auto& r : rows) {
+            r = static_cast<std::uint32_t>(pick.below(store->num_rows()));
+          }
+          std::vector<std::size_t> counts(n, 0xdead);
+          std::vector<std::uint64_t> hashes(n, 0xbeef);
+
+          const StoreStats s0 = store->stats();
+          store->count_in_rows(rows.data(), n, subset, counts.data());
+          const StoreStats s1 = store->stats();
+          store->hash_in_rows(rows.data(), n, subset, hashes.data());
+          const StoreStats s2 = store->stats();
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(counts[i], store->count_in(rows[i], subset)) << i;
+          }
+          const StoreStats s3 = store->stats();
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(hashes[i], store->hash_in(rows[i], subset)) << i;
+          }
+          const StoreStats s4 = store->stats();
+
+          EXPECT_EQ(s1.probe_count_in - s0.probe_count_in, n);
+          EXPECT_EQ(s1.probe_hash_in, s0.probe_hash_in);
+          EXPECT_EQ(s2.probe_hash_in - s1.probe_hash_in, n);
+          EXPECT_EQ(s2.probe_count_in, s1.probe_count_in);
+          EXPECT_EQ(s2.rows_touched - s0.rows_touched, 2 * n);
+          EXPECT_EQ(s2.probe_intersect, s0.probe_intersect);
+          // Same pages as the per-row probes of the same rows.
+          EXPECT_EQ(s1.pages_touched - s0.pages_touched,
+                    s3.pages_touched - s2.pages_touched);
+          EXPECT_EQ(s2.pages_touched - s1.pages_touched,
+                    s4.pages_touched - s3.pages_touched);
+          if (backend == XmBackend::kMmap && n > 0) {
+            EXPECT_GE(s1.pages_touched - s0.pages_touched, n);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(StoreContract, SnapshotIsIndependentOfSourceMutation) {
   for (const XmBackend backend : kAllBackends) {
     XMatrix xm = random_matrix(5, 3, 5, 40, 0.1);
