@@ -12,7 +12,8 @@
 //
 // --smoke runs a reduced-scale workload (< 10 s end to end), cross-checks
 // that both implementations produce identical results, asserts the engine
-// is at least 3x faster than the seed, and exits non-zero otherwise — the
+// is at least 3x faster than the seed (the median ratio over interleaved
+// repetitions), and exits non-zero otherwise — the
 // CI regression gate for the engine's core performance claim. The smoke
 // run also sweeps the engine over every storage backend (csr, tebm, mmap),
 // demands bit-identical results from each, and gates on the mmap store's
@@ -290,13 +291,32 @@ int run(const BenchOptions& opt) {
   cfg.seed = opt.seed;
 
   const int reps = opt.smoke ? 3 : 1;
+  // The 3x gate reads the median of per-repetition oracle/engine ratios.
+  // Each repetition times the two back to back, alternating which goes
+  // first, so load that drifts across the run moves both sides of a ratio
+  // together; a min over single runs of each let one slow engine run on a
+  // loaded machine decide the gate. ref_ms and engine_ms stay the fastest
+  // single runs.
   PartitionResult ref_result;
-  const double ref_ms = time_ms(
-      [&] { ref_result = partition_patterns_reference(xm, cfg); }, reps);
-
   PartitionResult engine_result;
-  const double engine_ms = time_ms(
-      [&] { engine_result = partition_patterns(xm, cfg); }, reps);
+  const auto ref_pass = [&] {
+    ref_result = partition_patterns_reference(xm, cfg);
+  };
+  const auto engine_pass = [&] { engine_result = partition_patterns(xm, cfg); };
+  double ref_ms = -1.0;
+  double engine_ms = -1.0;
+  std::vector<double> speedups;
+  for (int r = 0; r < (opt.smoke ? 4 * reps + 1 : 1); ++r) {
+    double ref = 0.0;
+    if (r % 2 == 0) ref = time_ms(ref_pass, 1);
+    const double eng = time_ms(engine_pass, 1);
+    if (r % 2 != 0) ref = time_ms(ref_pass, 1);
+    speedups.push_back(eng > 0.0 ? ref / eng : 0.0);
+    if (ref_ms < 0.0 || ref < ref_ms) ref_ms = ref;
+    if (engine_ms < 0.0 || eng < engine_ms) engine_ms = eng;
+  }
+  std::sort(speedups.begin(), speedups.end());
+  const double speedup = speedups[speedups.size() / 2];
 
   // Per-backend sweep: same engine, same bits, different physical store.
   // Resident/mapped bytes come from the store's own accounting (the same
@@ -365,7 +385,6 @@ int run(const BenchOptions& opt) {
   const KernelBench kb = bench_kernels(opt.smoke ? 5 : 3);
 
   const bool identical = results_identical(ref_result, engine_result);
-  const double speedup = engine_ms > 0.0 ? ref_ms / engine_ms : 0.0;
   const std::size_t rounds_run =
       ref_result.history.empty() ? 0 : ref_result.history.size() - 1;
   const double engine_rounds_per_sec =
@@ -573,7 +592,9 @@ int run(const BenchOptions& opt) {
     return 1;
   }
   if (opt.smoke && speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: smoke speedup %.2fx below the 3x gate\n",
+    std::fprintf(stderr,
+                 "FAIL: smoke speedup %.2fx (median of interleaved "
+                 "repetitions) below the 3x gate\n",
                  speedup);
     return 1;
   }

@@ -19,8 +19,11 @@
 // fail-fast std::logic_error.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "gf2/lfsr.hpp"
@@ -95,6 +98,12 @@ struct XCancelResult {
 /// finish() once at the end to flush the final partial segment. The extracted
 /// signature bits are provably X-free: each combination's dependency on every
 /// X symbol cancels, which the session verifies before emitting the bit.
+///
+/// State is fixed-size words (DESIGN.md §6): the concrete MISR is one
+/// uint64_t and each MISR bit's X dependency is a two-word row in a ring of
+/// m rows. Two words always suffice: a segment stops once it holds
+/// stop_threshold() <= m − q symbols and one slice adds at most m, so it
+/// never holds more than 2m − q − 1 <= 126.
 class XCancelSession {
  public:
   /// The optional trace receives xcancel.* counters (eliminations, rows
@@ -102,6 +111,7 @@ class XCancelSession {
   /// nullptr means no instrumentation.
   explicit XCancelSession(MisrConfig cfg, Diagnostics* diags = nullptr,
                           Trace* trace = nullptr);
+  ~XCancelSession();
 
   const MisrConfig& config() const { return cfg_; }
 
@@ -109,11 +119,23 @@ class XCancelSession {
   /// capturable value.
   void shift(const std::vector<Lv>& slice);
 
+  /// One scan shift cycle as words: bit i is MISR stage i. A stage set in
+  /// @p xs captures an X and its bit in @p values is ignored; no bit at or
+  /// above cfg.size may be set in either word.
+  void shift(std::uint64_t values, std::uint64_t xs);
+
   /// Flushes the trailing segment (extracts final combinations) and returns
   /// the result. The session can keep shifting afterwards only after reset().
   const XCancelResult& finish();
 
   void reset();
+
+  /// Capacity hint: room for @p bits signature bits before the vector has
+  /// to grow. A long stream's signature runs to megabytes, and regrowing it
+  /// by doubling leaves the freed blocks behind in the heap.
+  void reserve_signature(std::size_t bits) {
+    result_.signature.reserve(bits);
+  }
 
   /// Fault-injection hook (src/inject): invoked at every extraction with the
   /// candidate selection vectors and the segment's X-dependency rows, before
@@ -126,28 +148,49 @@ class XCancelSession {
   void install_combination_tamper(CombinationTamper hook);
 
  private:
+  /// One MISR bit's dependency on the segment's X symbols (bit k of the
+  /// pair is symbol k).
+  using XRow = std::array<std::uint64_t, 2>;
+
   void extract(bool final_flush);
   /// Nominal m − q, lowered by the outstanding deficit so the next stop's
   /// null space has room for the owed bits; self-restores on repayment.
   std::size_t stop_threshold() const;
+  /// Ring slot of logical MISR bit @p bit.
+  XRow& row(std::size_t bit) {
+    const std::size_t slot = head_ + bit;
+    return xdep_[slot < cfg_.size ? slot : slot - cfg_.size];
+  }
+  void clear_segment();
+  void count_recheck(std::uint64_t rows);
+
+  /// Hot-loop counter handles. Defined in the .cpp: a handle's type
+  /// depends on XH_OBS_NOOP, and this header's layout must not.
+  struct Counters;
 
   MisrConfig cfg_;
-  std::vector<std::size_t> taps_;  // feedback taps, cached for the hot loop
-  Lfsr concrete_;                  // X treated as 0 — sound for X-free combos
-  std::vector<BitVec> xdep_;      // per MISR bit, over segment X symbols
-  std::size_t segment_x_ = 0;     // symbols allocated in current segment
-  std::size_t deficit_ = 0;       // signature bits owed from starved stops
+  std::uint64_t full_ = 0;     // the low m bits
+  std::uint64_t tapmask_ = 0;  // bit 0 plus the feedback taps
+  std::uint64_t state_ = 0;    // concrete MISR, X read as 0
+  std::array<XRow, 64> xdep_{};  // ring of m rows; logical bit 0 at head_
+  std::size_t head_ = 0;
+  std::size_t segment_x_ = 0;  // symbols allocated in current segment
+  std::size_t deficit_ = 0;    // signature bits owed from starved stops
   XCancelResult result_;
   bool finished_ = false;
   Diagnostics* diags_ = nullptr;
   Trace* trace_ = nullptr;
   CombinationTamper tamper_;
+  std::unique_ptr<Counters> counters_;
 };
 
 /// Convenience driver: shifts an entire response matrix through an
 /// X-canceling MISR. Chains map to MISR stages round-robin
 /// (stage = chain mod m, a spatial XOR compactor when chains > m); cells
-/// shift out position 0 first.
+/// shift out position 0 first. Chains folded into one stage XOR their
+/// values, and an X on any of them makes the stage X for that cycle: two
+/// X's in one stage are one symbol, and the stage's deterministic bits are
+/// lost with it.
 [[nodiscard]] XCancelResult run_x_canceling(const ResponseMatrix& response,
                                             MisrConfig cfg,
                                             Diagnostics* diags = nullptr,

@@ -51,12 +51,12 @@ double ResponseMatrix::x_density() const {
           static_cast<double>(num_cells()));
 }
 
-BitVec ResponseMatrix::x_row(std::size_t pattern) const {
+const BitVec& ResponseMatrix::x_row(std::size_t pattern) const {
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
   return x_[pattern];
 }
 
-BitVec ResponseMatrix::value_row(std::size_t pattern) const {
+const BitVec& ResponseMatrix::value_row(std::size_t pattern) const {
   XH_REQUIRE(pattern < num_patterns_, "pattern index out of range");
   return value_[pattern];
 }

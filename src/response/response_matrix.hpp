@@ -41,11 +41,11 @@ class ResponseMatrix {
   /// X-density: total_x / (patterns × cells).
   double x_density() const;
 
-  /// The X plane of one pattern (bit set ⇔ cell is X), by value.
-  BitVec x_row(std::size_t pattern) const;
+  /// The X plane of one pattern (bit set ⇔ cell is X).
+  const BitVec& x_row(std::size_t pattern) const;
 
   /// The value plane of one pattern (X cells read 0).
-  BitVec value_row(std::size_t pattern) const;
+  const BitVec& value_row(std::size_t pattern) const;
 
   /// Parses rows like {"01X10", "1XX00"} (one string per pattern).
   static ResponseMatrix from_strings(ScanGeometry geometry,

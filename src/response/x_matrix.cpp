@@ -103,7 +103,7 @@ std::size_t XMatrix::total_x_in(const BitVec& patterns) const {
 XMatrix XMatrix::from_response(const ResponseMatrix& response) {
   XMatrix xm(response.geometry(), response.num_patterns());
   for (std::size_t p = 0; p < response.num_patterns(); ++p) {
-    const BitVec row = response.x_row(p);
+    const BitVec& row = response.x_row(p);
     for (std::size_t c = row.find_first(); c < row.size();
          c = row.find_next(c + 1)) {
       xm.add_x(c, p);

@@ -35,9 +35,8 @@
 #include "response/x_matrix.hpp"
 #include "response/x_stats.hpp"
 
-// MISR: X-canceling session, accounting, spatial compaction.
+// MISR: X-canceling session (with its spatial compaction) and accounting.
 #include "misr/accounting.hpp"
-#include "misr/spatial_compactor.hpp"
 #include "misr/x_cancel.hpp"
 
 // X-masking.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -96,6 +98,125 @@ TEST(XCancelSession, ShiftAfterFinishThrowsUntilReset) {
   EXPECT_THROW(session.shift(lv_slice("00000000")), std::invalid_argument);
   session.reset();
   EXPECT_NO_THROW(session.shift(lv_slice("00000000")));
+}
+
+TEST(XCancelSession, WordShiftRejectsStagesBeyondTheMisr) {
+  XCancelSession session({8, 3});
+  EXPECT_THROW(session.shift(1ULL << 8, 0), std::invalid_argument);
+  EXPECT_THROW(session.shift(0, 1ULL << 63), std::invalid_argument);
+  EXPECT_NO_THROW(session.shift(0xFF, 0x01));
+}
+
+TEST(XCancelSession, WordShiftMatchesTheSliceShift) {
+  const MisrConfig cfg{8, 3};
+  XCancelSession words(cfg);
+  XCancelSession slices(cfg);
+  Rng rng(23);
+  for (int c = 0; c < 120; ++c) {
+    std::string s;
+    std::uint64_t values = 0;
+    std::uint64_t xs = 0;
+    for (std::size_t i = 0; i < cfg.size; ++i) {
+      const double roll = rng.uniform();
+      s.push_back(roll < 0.08 ? 'X' : (roll < 0.54 ? '1' : '0'));
+      // An X stage's value bit is ignored, so set it at random.
+      if (s.back() == '1' || (s.back() == 'X' && rng.chance(0.5))) {
+        values |= 1ULL << i;
+      }
+      if (s.back() == 'X') xs |= 1ULL << i;
+    }
+    words.shift(values, xs);
+    slices.shift(lv_slice(s));
+  }
+  const XCancelResult& a = words.finish();
+  const XCancelResult& b = slices.finish();
+  EXPECT_EQ(a.stop_cycles, b.stop_cycles);
+  ASSERT_EQ(a.signature.size(), b.signature.size());
+  for (std::size_t i = 0; i < a.signature.size(); ++i) {
+    EXPECT_EQ(a.signature[i].combination, b.signature[i].combination);
+    EXPECT_EQ(a.signature[i].value, b.signature[i].value);
+  }
+}
+
+// Spatial compaction: run_x_canceling folds chain c onto MISR stage c mod m,
+// XOR for values, and an X on any folded chain makes the stage X. These
+// tests pin the fold's facts through the session's X count and signature.
+
+/// One pattern, one shift cycle: chain c captures @p cells[c].
+ResponseMatrix one_cycle(const std::string& cells) {
+  return ResponseMatrix::from_strings({cells.size(), 1}, {cells});
+}
+
+/// The signature a session fed @p slice directly reads.
+XCancelResult direct(MisrConfig cfg, const std::string& slice) {
+  XCancelSession session(cfg);
+  session.shift(lv_slice(slice));
+  return session.finish();
+}
+
+void expect_same_signature(const XCancelResult& a, const XCancelResult& b) {
+  EXPECT_EQ(a.total_x_seen, b.total_x_seen);
+  EXPECT_EQ(a.stop_cycles, b.stop_cycles);
+  ASSERT_EQ(a.signature.size(), b.signature.size());
+  for (std::size_t i = 0; i < a.signature.size(); ++i) {
+    EXPECT_EQ(a.signature[i].combination, b.signature[i].combination);
+    EXPECT_EQ(a.signature[i].value, b.signature[i].value);
+  }
+}
+
+TEST(SpatialCompactor, IdentityWhenChainsFit) {
+  const MisrConfig cfg{8, 3};
+  const XCancelResult r = run_x_canceling(one_cycle("10X1"), cfg);
+  EXPECT_EQ(r.total_x_seen, 1u);
+  // Unused stages read 0.
+  expect_same_signature(r, direct(cfg, "10X10000"));
+}
+
+TEST(SpatialCompactor, XorFoldsDefiniteValues) {
+  // stage0 = c0 ^ c2 = 0, stage1 = c1 ^ c3 = 1; X-free, so the final flush
+  // reads the MISR, which holds exactly the one folded slice.
+  const XCancelResult r = run_x_canceling(one_cycle("1011"), {2, 1});
+  ASSERT_EQ(r.signature.size(), 2u);
+  EXPECT_FALSE(r.signature[0].value);
+  EXPECT_TRUE(r.signature[1].value);
+  expect_same_signature(r, direct({2, 1}, "01"));
+}
+
+TEST(SpatialCompactor, XPoisonsItsStage) {
+  // c2 shares stage 0 with an X: its value cannot reach the signature.
+  const MisrConfig cfg{2, 1};
+  const XCancelResult with_0 = run_x_canceling(one_cycle("X000"), cfg);
+  const XCancelResult with_1 = run_x_canceling(one_cycle("X010"), cfg);
+  EXPECT_EQ(with_0.total_x_seen, 1u);
+  expect_same_signature(with_0, with_1);
+  expect_same_signature(with_1, direct(cfg, "X0"));
+}
+
+TEST(SpatialCompactor, TwoXsMergeIntoOne) {
+  const XCancelResult r = run_x_canceling(one_cycle("X0X0"), {2, 1});
+  EXPECT_EQ(r.total_x_seen, 1u) << "folded X's merge into one symbol";
+}
+
+TEST(SpatialCompactor, CountersAccumulateAndReset) {
+  // Chain 0 reads X, X; chain 1 reads 0, X: cycles (X,0) then (X,X).
+  const ResponseMatrix rm =
+      ResponseMatrix::from_strings({2, 2}, {std::string("XX0X")});
+  EXPECT_EQ(run_x_canceling(rm, {2, 1}).total_x_seen, 3u);
+
+  XCancelSession session({2, 1});
+  session.shift(0, 0b01);
+  session.shift(0, 0b11);
+  session.reset();
+  EXPECT_EQ(session.finish().total_x_seen, 0u);
+}
+
+TEST(SpatialCompactor, RejectsBadInput) {
+  // The fold reads the response's planes, so a Z, a short row or a design
+  // with no chains is rejected before any cycle reaches the MISR.
+  EXPECT_THROW(one_cycle("0Z01"), std::invalid_argument);
+  EXPECT_THROW(ResponseMatrix::from_strings({4, 1}, {std::string("010")}),
+               std::invalid_argument);
+  EXPECT_THROW(ResponseMatrix({0, 4}, 1), std::invalid_argument);
 }
 
 // The central soundness property: extracted signature bits are invariant
