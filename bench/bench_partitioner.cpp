@@ -15,7 +15,7 @@
 // is at least 3x faster than the seed (the median ratio over interleaved
 // repetitions), and exits non-zero otherwise — the
 // CI regression gate for the engine's core performance claim. The smoke
-// run also sweeps the engine over every storage backend (csr, tebm, mmap),
+// run also sweeps the engine over every storage backend (csr, mmap),
 // demands bit-identical results from each, and gates on the mmap store's
 // resident footprint staying below the CSR snapshot's — the out-of-core
 // property that makes the backend worth having.
@@ -33,7 +33,7 @@
 //
 // --xm-backend B picks the store for the traced telemetry run (default
 // csr), so the CI mmap leg exercises the whole engine through the mapped
-// file; the per-backend sweep always covers all three.
+// file; the per-backend sweep always covers both.
 //
 // --trajectory writes the compact xh-bench-trajectory/1 document: every
 // backend's wall time and its speedup against the SAME seed-oracle
@@ -115,10 +115,6 @@ struct BackendGaugeNames {
 };
 
 BackendGaugeNames backend_gauge_names(const std::string& backend) {
-  if (backend == "tebm") {
-    return {"bench.store_tebm_ms", "bench.store_tebm_resident_bytes",
-            "bench.store_tebm_mapped_bytes", "bench.store_tebm_peak_rss_kb"};
-  }
   if (backend == "mmap") {
     return {"bench.store_mmap_ms", "bench.store_mmap_resident_bytes",
             "bench.store_mmap_mapped_bytes", "bench.store_mmap_peak_rss_kb"};
@@ -330,8 +326,7 @@ int run(const BenchOptions& opt) {
     bool identical = false;
   };
   std::vector<BackendSample> backends;
-  for (const XmBackend backend :
-       {XmBackend::kCsr, XmBackend::kTebm, XmBackend::kMmap}) {
+  for (const XmBackend backend : {XmBackend::kCsr, XmBackend::kMmap}) {
     const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
     BackendSample sample;
     sample.name = store->backend_name();
@@ -683,7 +678,7 @@ int main(int argc, char** argv) {
         if (!xh::parse_xm_backend(text, &opt.xm_backend)) {
           std::fprintf(stderr,
                        "error: --xm-backend: unknown backend '%s' "
-                       "(expected auto|csr|tebm|mmap)\n",
+                       "(expected auto|csr|mmap)\n",
                        text);
           return 2;
         }

@@ -6,8 +6,8 @@
 // These overloads are the seam the upper layers (hybrid, CLI, benches) use
 // instead: one PipelineContext supplies the MISR shape and the diagnostics
 // routing (strict / lenient / adopted) to every stage, replacing the
-// hand-threaded HybridConfig → PartitionerConfig → MisrConfig + raw
-// Diagnostics* plumbing the seed grew.
+// hand-threaded PartitionerConfig → MisrConfig + raw Diagnostics* plumbing
+// the seed grew.
 #pragma once
 
 #include <iosfwd>

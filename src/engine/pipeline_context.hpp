@@ -1,10 +1,10 @@
 // Shared execution context of the analysis pipeline.
 //
 // Before the engine layer existed, every stage grew its own plumbing: a
-// HybridConfig wrapping a PartitionerConfig wrapping a MisrConfig, a raw
-// Diagnostics* threaded hand-to-hand through hybrid → partitioner →
-// x_cancel → masking → response IO, and ad-hoc Rng construction at each
-// stochastic site. PipelineContext bundles all of it once:
+// PartitionerConfig wrapping a MisrConfig, a raw Diagnostics* threaded
+// hand-to-hand through hybrid → partitioner → x_cancel → masking →
+// response IO, and ad-hoc Rng construction at each stochastic site.
+// PipelineContext bundles all of it once:
 //
 //   * the partitioning/cost configuration (which embeds the MISR shape),
 //   * the diagnostics routing — strict (mismatches throw, the legacy

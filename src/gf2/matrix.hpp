@@ -129,8 +129,7 @@ struct Elimination {
 /// the randomized differential suite in tests/kernels/ pins the runtime
 /// backends (including the M4RM variant) against it. Callers should use the
 /// kernels:: entry points; the _reference spellings exist so the kernel
-/// wrappers (and the deprecated shims in src/kernels/compat.hpp) have a
-/// live implementation without shadowing the new API.
+/// wrappers have a live implementation without shadowing the new API.
 namespace gf2_ref {
 
 /// Forward Gaussian elimination with full row-combination tracking.
@@ -227,9 +226,5 @@ constexpr std::optional<BitVec> solve_reference(const Gf2Matrix& m,
 constexpr std::size_t Gf2Matrix::rank() const {
   return gf2_ref::eliminate_reference(*this).rank;
 }
-
-// The deprecated unqualified eliminate / x_free_combinations / solve
-// spellings now live in src/kernels/compat.hpp, away from the Gf2Matrix
-// declaration, so including this header never drags them into scope.
 
 }  // namespace xh

@@ -14,8 +14,13 @@ struct XCancelSession::Counters {
   TraceCounterHandle shift_cycles{};
   TraceCounterHandle x_seen{};
   TraceCounterHandle recheck_rows{};
+  TraceCounterHandle eliminations{};
+  TraceCounterHandle elimination_rows{};
+  TraceCounterHandle combinations_emitted{};
+  TraceCounterHandle stops{};
   bool shift_ready = false;
   bool recheck_ready = false;
+  bool extract_ready = false;
 };
 
 XCancelSession::XCancelSession(MisrConfig cfg, Diagnostics* diags,
@@ -148,8 +153,17 @@ void XCancelSession::extract(bool final_flush) {
   std::array<XRow, 64> xrows;
   for (std::size_t r = 0; r < m; ++r) xrows[r] = row(r);
 
-  obs_count(trace_, "xcancel.eliminations");
-  obs_count(trace_, "xcancel.elimination_rows", m);
+  Counters& ctr = *counters_;
+  if (!ctr.extract_ready) {
+    ctr.eliminations = obs_counter(trace_, "xcancel.eliminations");
+    ctr.elimination_rows = obs_counter(trace_, "xcancel.elimination_rows");
+    ctr.combinations_emitted =
+        obs_counter(trace_, "xcancel.combinations_emitted");
+    ctr.stops = obs_counter(trace_, "xcancel.stops");
+    ctr.extract_ready = true;
+  }
+  obs_add(ctr.eliminations);
+  obs_add(ctr.elimination_rows, m);
   obs_record(trace_, "xcancel.segment_x", segment_x_);
 
   // Gauss-Jordan over [dependency | combination] word triples, with the
@@ -248,7 +262,7 @@ void XCancelSession::extract(bool final_flush) {
     ++taken;
     ++result_.selection_vectors;
   }
-  obs_count(trace_, "xcancel.combinations_emitted", taken);
+  obs_add(ctr.combinations_emitted, taken);
 
   if (taken > cfg_.q) result_.extra_combinations += taken - cfg_.q;
   const std::size_t owed_before = deficit_;
@@ -274,7 +288,7 @@ void XCancelSession::extract(bool final_flush) {
   }
 
   ++result_.stops;
-  obs_count(trace_, "xcancel.stops");
+  obs_add(ctr.stops);
   result_.stop_cycles.push_back(result_.shift_cycles);
   clear_segment();
 }

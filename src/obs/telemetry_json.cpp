@@ -58,10 +58,6 @@ const std::vector<std::string>& telemetry_schema_names() {
       "bench.store_mmap_ms",
       "bench.store_mmap_peak_rss_kb",
       "bench.store_mmap_resident_bytes",
-      "bench.store_tebm_mapped_bytes",
-      "bench.store_tebm_ms",
-      "bench.store_tebm_peak_rss_kb",
-      "bench.store_tebm_resident_bytes",
       "bench.total_x",
       // engine.* counters
       "engine.cell_analyses",

@@ -7,7 +7,6 @@
 
 #include "storage/backend_csr.hpp"
 #include "storage/backend_mmap.hpp"
-#include "storage/backend_tebm.hpp"
 
 namespace xh {
 namespace {
@@ -35,7 +34,6 @@ const char* xm_backend_name(XmBackend backend) {
   switch (backend) {
     case XmBackend::kAuto: return "auto";
     case XmBackend::kCsr: return "csr";
-    case XmBackend::kTebm: return "tebm";
     case XmBackend::kMmap: return "mmap";
   }
   return "unknown";
@@ -46,8 +44,6 @@ bool parse_xm_backend(std::string_view name, XmBackend* out) {
     *out = XmBackend::kAuto;
   } else if (name == "csr") {
     *out = XmBackend::kCsr;
-  } else if (name == "tebm") {
-    *out = XmBackend::kTebm;
   } else if (name == "mmap") {
     *out = XmBackend::kMmap;
   } else {
@@ -75,8 +71,6 @@ XmBackend resolve_xm_backend(XmBackend requested, const XMatrix& xm,
 std::unique_ptr<XMatrixStore> make_store(const XMatrix& xm, XmBackend backend,
                                          const StoreFactoryOptions& options) {
   switch (resolve_xm_backend(backend, xm, options)) {
-    case XmBackend::kTebm:
-      return std::make_unique<TebmStore>(xm);
     case XmBackend::kMmap: {
       MmapStoreOptions mo;
       mo.path = next_mmap_path(options);

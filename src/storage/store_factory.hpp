@@ -4,9 +4,7 @@
 // include backend headers — xh_lint enforces it — they name a backend with
 // XmBackend and let make_store() build it. kAuto picks per workload: the
 // CSR snapshot while the estimated footprint fits comfortably in RAM, the
-// mmap store beyond auto_mmap_threshold_bytes. (The TEBM store is never
-// auto-picked: its win is workload-shape-dependent, so it is an explicit
-// opt-in via --xm-backend=tebm.)
+// mmap store beyond auto_mmap_threshold_bytes.
 #pragma once
 
 #include <cstdint>
@@ -22,11 +20,10 @@ namespace xh {
 enum class XmBackend : std::uint8_t {
   kAuto = 0,  // resolve_xm_backend() picks csr or mmap by footprint
   kCsr,
-  kTebm,
   kMmap,
 };
 
-/// Canonical spelling: "auto", "csr", "tebm", "mmap". Matches the
+/// Canonical spelling: "auto", "csr", "mmap". Matches the
 /// backend_name() of the store the value resolves to.
 const char* xm_backend_name(XmBackend backend);
 

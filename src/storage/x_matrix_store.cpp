@@ -4,18 +4,6 @@
 
 namespace xh {
 
-void XMatrixStore::count_in_rows(const std::uint32_t* rows, std::size_t n,
-                                 const BitVec& patterns,
-                                 std::size_t* counts) const {
-  for (std::size_t i = 0; i < n; ++i) counts[i] = count_in(rows[i], patterns);
-}
-
-void XMatrixStore::hash_in_rows(const std::uint32_t* rows, std::size_t n,
-                                const BitVec& patterns,
-                                std::uint64_t* hashes) const {
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = hash_in(rows[i], patterns);
-}
-
 StoreStats XMatrixStore::stats() const {
   StoreStats s;
   s.probe_count_in = probe_count_in_.load(std::memory_order_relaxed);

@@ -8,8 +8,6 @@
 //
 //   * CsrStore  — the original in-RAM CSR snapshot (default; bit-identical
 //                 to the pre-refactor XMatrixView),
-//   * TebmStore — a tree-encoded bitmap that compresses sparse rows per
-//                 256-pattern chunk (the partition-of-tree-masks idiom),
 //   * MmapStore — a memory-mapped CSR file for out-of-core workloads.
 //
 // Every backend must be a *value*: immutable after construction, safe for
@@ -65,7 +63,7 @@ class XMatrixStore {
   XMatrixStore(const XMatrixStore&) = delete;
   XMatrixStore& operator=(const XMatrixStore&) = delete;
 
-  /// Stable identity token ("csr", "tebm", "mmap") recorded in xh-ckpt/1
+  /// Stable identity token ("csr", "mmap") recorded in xh-ckpt/1
   /// checkpoints so a resume refuses a mismatched backend.
   virtual const char* backend_name() const = 0;
 
@@ -94,17 +92,16 @@ class XMatrixStore {
   virtual void intersect_into(std::size_t row, const BitVec& patterns,
                               BitVec* out) const = 0;
 
-  /// Batched count_in: counts[i] = count_in(rows[i], patterns) for i < n.
-  /// The default loops over count_in; word-span backends override it with
-  /// one kernel lookup and one counter update per batch.
+  /// Batched count_in: counts[i] = count_in(rows[i], patterns) for i < n,
+  /// with one kernel lookup and one counter update per batch.
   virtual void count_in_rows(const std::uint32_t* rows, std::size_t n,
                              const BitVec& patterns,
-                             std::size_t* counts) const;
+                             std::size_t* counts) const = 0;
 
   /// Batched hash_in: hashes[i] = hash_in(rows[i], patterns) for i < n.
   virtual void hash_in_rows(const std::uint32_t* rows, std::size_t n,
                             const BitVec& patterns,
-                            std::uint64_t* hashes) const;
+                            std::uint64_t* hashes) const = 0;
 
   /// popcount(row & ~patterns), fused from the precomputed row count.
   std::size_t and_not_count(std::size_t row, const BitVec& patterns) const {

@@ -250,9 +250,7 @@ constexpr BitVec operator^(BitVec lhs, const BitVec& rhs) { return lhs ^= rhs; }
 constexpr BitVec operator&(BitVec lhs, const BitVec& rhs) { return lhs &= rhs; }
 constexpr BitVec operator|(BitVec lhs, const BitVec& rhs) { return lhs |= rhs; }
 
-// The fused popcount(a & b) / popcount(a & ~b) helpers that used to live
-// here are now the dispatched xh::kernels::and_count / and_not_count
-// (src/kernels/kernels.hpp); the deprecated unqualified spellings survive
-// in src/kernels/compat.hpp until the external-caller window closes.
+// The fused popcount(a & b) / popcount(a & ~b) helpers are the dispatched
+// xh::kernels::and_count / and_not_count (src/kernels/kernels.hpp).
 
 }  // namespace xh

@@ -15,8 +15,8 @@
 //   ctx.set_trace(&trace);          // optional observability
 //   auto report = xh::run_hybrid_analysis(xm, ctx);
 //
-// The HybridConfig overloads of run_hybrid_analysis/run_hybrid_simulation
-// are deprecated; construct a PipelineContext instead.
+// Every hybrid entry point takes a PipelineContext; it is the only way to
+// pass configuration, diagnostics routing and tracing to the pipeline.
 #pragma once
 
 // Shared utilities: bit vectors, diagnostics, RNG, thread pool.

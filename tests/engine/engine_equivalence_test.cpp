@@ -144,10 +144,9 @@ TEST(EngineEquivalence, MatchesSeedOnMatrixWithOverTenThousandXRows) {
 
 // The engine sweeps candidates in 64-row blocks. Candidate lists one short
 // of, exactly at and one past one and two blocks must group, split and mask
-// exactly like the seed oracle on every backend (TEBM takes the per-row
-// default of the batched probes). Groups straddle every block edge, and
-// every ninth cell is X under all patterns, so each block mixes masked,
-// grouped and (after splits) empty rows.
+// exactly like the seed oracle on every backend. Groups straddle every
+// block edge, and every ninth cell is X under all patterns, so each block
+// mixes masked, grouped and (after splits) empty rows.
 TEST(EngineEquivalence, MatchesSeedAtTheSweepBlockBoundary) {
   for (const std::size_t rows : {63u, 64u, 65u, 127u, 128u, 129u}) {
     XMatrix xm({3, 50}, 70);
@@ -165,8 +164,7 @@ TEST(EngineEquivalence, MatchesSeedAtTheSweepBlockBoundary) {
     }
     ASSERT_EQ(xm.num_x_cells(), rows);
 
-    for (const XmBackend backend :
-         {XmBackend::kCsr, XmBackend::kTebm, XmBackend::kMmap}) {
+    for (const XmBackend backend : {XmBackend::kCsr, XmBackend::kMmap}) {
       const std::unique_ptr<XMatrixStore> store = make_store(xm, backend);
       for (const std::size_t max_rounds : {0u, 20u}) {
         for (const SplitCellChoice choice :

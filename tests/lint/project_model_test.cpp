@@ -80,8 +80,6 @@ TEST(TreeCorpus, EverySeededViolationIsDetectedAndNothingElse) {
       {"src/core/missing_direct.cpp", "XH-INC-003"},
       {"src/core/discard.cpp", "XH-API-001"},
       {"src/service/submit_discard.cpp", "XH-API-001"},
-      {"src/core/legacy_user.cpp", "XH-API-002"},
-      {"src/core/quarantine_user.cpp", "XH-API-002"},
       {"src/core/telemetry_user.cpp", "XH-OBS-001"},
       {"src/core/stale_suppress.cpp", "XH-SUP-001"},
       {"src/service/ipa001_drop_bad.cpp", "XH-IPA-001"},
@@ -104,48 +102,6 @@ TEST(TreeCorpus, EverySeededViolationIsDetectedAndNothingElse) {
     }
     EXPECT_NE(f.path, "src/engine/good_backend_use.cpp") << f.message;
   }
-
-  // The deprecated-API index resolved the fixture exactly: LegacyCfg is the
-  // marker type of the deprecated run_thing overload, old_entry has no live
-  // replacement, and vec_count — quarantined in a compat header that exports
-  // no types — contributes no marker at all.
-  ASSERT_EQ(model.symbols.deprecated.size(), 3u);
-  for (const auto& api : model.symbols.deprecated) {
-    if (api.name == "run_thing") {
-      EXPECT_TRUE(api.has_live_overload);
-      EXPECT_EQ(api.marker_types, std::set<std::string>{"LegacyCfg"});
-    } else if (api.name == "old_entry") {
-      EXPECT_FALSE(api.has_live_overload);
-      EXPECT_TRUE(api.marker_types.empty());
-    } else {
-      EXPECT_EQ(api.name, "vec_count");
-      EXPECT_EQ(api.declared_in, "src/util/veccount_compat.hpp");
-      EXPECT_FALSE(api.has_live_overload);
-      EXPECT_TRUE(api.marker_types.empty());
-    }
-  }
-
-  // Both legacy_user uses are flagged: the marker type and the retired call.
-  std::size_t legacy_findings = 0;
-  for (const Finding& f : findings) {
-    if (f.path == "src/core/legacy_user.cpp") ++legacy_findings;
-  }
-  EXPECT_EQ(legacy_findings, 2u);
-
-  // The quarantined shim flags exactly the straggler's unqualified call:
-  // mentioning WordVec and calling the qualified fast::vec_count replacement
-  // in the same file stay clean (the src/kernels/compat.hpp pattern).
-  std::size_t quarantine_findings = 0;
-  for (const Finding& f : findings) {
-    if (f.path == "src/core/quarantine_user.cpp") {
-      ++quarantine_findings;
-      EXPECT_EQ(f.line, 7u);
-      EXPECT_NE(f.message.find("no live replacement overload"),
-                std::string::npos)
-          << f.message;
-    }
-  }
-  EXPECT_EQ(quarantine_findings, 1u);
 
   // Both member-chain discards are flagged: `svc.submit_job(1);` and
   // `psvc->poll_job(2);` each resolve to their final [[nodiscard]] name.

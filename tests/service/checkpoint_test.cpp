@@ -338,9 +338,9 @@ TEST(Checkpoint, MatchesOnlyTheExactRunIdentity) {
   EXPECT_EQ(why, "partitioner configuration differs");
 
   // A valid-but-different backend parses fine yet must refuse to graft:
-  // resuming csr state through a tebm store is an operator surprise.
+  // resuming csr state through an mmap store is an operator surprise.
   EXPECT_FALSE(checkpoint_matches(ckpt, xm.geometry(), xm.num_patterns(),
-                                  xm.total_x(), cfg, "tebm", "scalar", &why));
+                                  xm.total_x(), cfg, "mmap", "scalar", &why));
   EXPECT_EQ(why, "storage backend differs");
 
   // Crossing kernel ISA tiers likewise demotes to a fresh run — the tiers
@@ -359,15 +359,15 @@ TEST(Checkpoint, MatchesOnlyTheExactRunIdentity) {
 }
 
 // The store line is load-bearing round-trip state, not a comment: a
-// checkpoint recorded against tebm restores as tebm.
+// checkpoint recorded against mmap restores as mmap.
 TEST(Checkpoint, BackendIdentitySurvivesTheTrip) {
   const XMatrix xm = small_workload(19);
   ServiceCheckpoint want = checkpoint_after(xm, small_config(), 1);
-  want.backend = "tebm";
+  want.backend = "mmap";
   const std::optional<ServiceCheckpoint> got =
       checkpoint_from_string(checkpoint_to_string(want));
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->backend, "tebm");
+  EXPECT_EQ(got->backend, "mmap");
 }
 
 // The isa line round-trips like the store line, and its absence is not a

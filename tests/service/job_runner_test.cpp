@@ -7,6 +7,7 @@
 #include "service/job_runner.hpp"
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -466,6 +467,38 @@ TEST(JobRunner, IngestDirectoryIsSortedAndSkipsForeignFiles) {
       service.ingest_directory((dir / "missing").string());
   EXPECT_TRUE(none.empty());
   EXPECT_GT(service.diagnostics().count(DiagKind::kStreamFailure), 0u);
+}
+
+// The removed tree-encoded store's name is an unknown backend like any
+// other: the override is refused with a warning and the configured
+// backend stays in force.
+TEST(JobRunner, RemovedTebmBackendOverrideIsReportedAsUnknown) {
+  const char* prior = std::getenv("XH_XM_BACKEND");
+  const std::optional<std::string> saved =
+      prior != nullptr ? std::optional<std::string>(prior) : std::nullopt;
+  ASSERT_EQ(::setenv("XH_XM_BACKEND", "tebm", 1), 0);
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.partitioner = small_config();
+  cfg.xm_backend = XmBackend::kCsr;
+  PartitionService service(cfg);
+  if (saved.has_value()) {
+    ::setenv("XH_XM_BACKEND", saved->c_str(), 1);
+  } else {
+    ::unsetenv("XH_XM_BACKEND");
+  }
+
+  const Diagnostics diags = service.diagnostics();
+  ASSERT_EQ(diags.count(DiagKind::kBadArgument), 1u);
+  EXPECT_EQ(diags.records().front().location, "XH_XM_BACKEND");
+  EXPECT_NE(diags.records().front().message.find(
+                "unknown storage backend 'tebm'"),
+            std::string::npos)
+      << diags.records().front().message;
+
+  const SubmitOutcome outcome = service.submit(matrix_job("after-env", 99));
+  ASSERT_TRUE(outcome.accepted);
+  EXPECT_EQ(service.wait(outcome.id).state, JobState::kCompleted);
 }
 
 }  // namespace

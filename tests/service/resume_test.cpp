@@ -301,5 +301,54 @@ TEST(Resume, ForeignCheckpointIsRefusedAndJobRunsFresh) {
   expect_identical(oracle, result.partition, "fresh after refusal");
 }
 
+// Checkpoints written while the tree-encoded store existed say
+// "store tebm". They must still parse — the store line is free-form —
+// and the resume must refuse them as a backend mismatch, not as damage,
+// then rerun fresh to the same bits.
+TEST(Resume, RemovedTebmCheckpointParsesAndRunsFresh) {
+  const fs::path dir = fresh_dir("xh_resume_tebm");
+  const auto xm = std::make_shared<const XMatrix>(small_workload(26));
+  const std::unique_ptr<XMatrixStore> store = make_store(*xm, XmBackend::kCsr);
+  const PartitionerConfig cfg = small_config();
+  PartitionEngine oracle_engine(*store, cfg);
+  const PartitionResult oracle = oracle_engine.run();
+
+  PartitionEngine interrupted(*store, cfg);
+  ASSERT_TRUE(step_to(interrupted, 1));
+  ServiceCheckpoint ckpt = checkpoint_at(*store, cfg, interrupted);
+  ckpt.backend = "tebm";
+  const fs::path ckpt_path = dir / "tenant-d.ckpt";
+  ASSERT_TRUE(save_checkpoint(ckpt, ckpt_path.string()));
+  Diagnostics load_diags;
+  const std::optional<ServiceCheckpoint> loaded =
+      load_checkpoint(ckpt_path.string(), &load_diags);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->backend, "tebm");
+  EXPECT_EQ(load_diags.total(), 0u);
+
+  ServiceConfig service_cfg;
+  service_cfg.workers = 1;
+  service_cfg.checkpoint_dir = dir.string();
+  service_cfg.checkpoint_every_rounds = 1;
+  PartitionService service(service_cfg);
+  JobSpec spec;
+  spec.name = "tenant-d";
+  spec.matrix = xm;
+  spec.config = cfg;
+  spec.xm_backend = XmBackend::kCsr;
+  const SubmitOutcome outcome = service.submit(std::move(spec));
+  ASSERT_TRUE(outcome.accepted);
+  const JobResult result = service.wait(outcome.id);
+  EXPECT_EQ(result.state, JobState::kCompleted);
+  EXPECT_FALSE(result.resumed_from_checkpoint);
+  ASSERT_EQ(result.diagnostics.count(DiagKind::kCheckpointCorrupt), 1u);
+  bool named = false;
+  for (const Diagnostic& d : result.diagnostics.records()) {
+    named |= d.message.find("storage backend differs") != std::string::npos;
+  }
+  EXPECT_TRUE(named) << "the refusal must name the backend mismatch";
+  expect_identical(oracle, result.partition, "fresh after tebm refusal");
+}
+
 }  // namespace
 }  // namespace xh

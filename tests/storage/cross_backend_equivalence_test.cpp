@@ -1,6 +1,6 @@
 // Cross-backend bit-identity suite (DESIGN.md §12): the partition search
 // must not care where the X matrix lives. For randomized workloads, every
-// backend — CSR, TEBM, mmap — must drive the engine to the seed oracle's
+// backend — CSR and mmap — must drive the engine to the seed oracle's
 // exact bits (partition_patterns_reference), agree at EVERY accepted round
 // boundary, under both split-cell policies, and resume from a checkpoint
 // taken against one incarnation into a fresh store of the same backend
@@ -34,8 +34,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kTebm,
-                                      XmBackend::kMmap};
+constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kMmap};
 
 XMatrix random_matrix(Rng& rng) {
   WorkloadProfile profile;
@@ -278,7 +277,7 @@ TEST(CrossBackend, BackendSwitchRefusesTheCheckpointAndRerunsFresh) {
   ckpt.snapshot = interrupted.snapshot();
   ASSERT_TRUE(save_checkpoint(ckpt, (dir / "tenant-switch.ckpt").string()));
 
-  // ...incarnation two runs tebm: same bits, but via a fresh full run.
+  // ...incarnation two runs mmap: same bits, but via a fresh full run.
   ServiceConfig service_cfg;
   service_cfg.workers = 1;
   service_cfg.checkpoint_dir = dir.string();
@@ -288,7 +287,7 @@ TEST(CrossBackend, BackendSwitchRefusesTheCheckpointAndRerunsFresh) {
   spec.name = "tenant-switch";
   spec.matrix = xm;
   spec.config = cfg;
-  spec.xm_backend = XmBackend::kTebm;
+  spec.xm_backend = XmBackend::kMmap;
   const SubmitOutcome outcome = service.submit(std::move(spec));
   ASSERT_TRUE(outcome.accepted);
   const JobResult result = service.wait(outcome.id);

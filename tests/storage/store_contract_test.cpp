@@ -1,10 +1,10 @@
-// XMatrixStore contract (DESIGN.md §12): every backend — CSR, TEBM, mmap —
+// XMatrixStore contract (DESIGN.md §12): every backend — CSR and mmap —
 // must present the frozen X matrix identically: same rows in ascending
 // cell-id order, same counts, and count_in/hash_in/intersect_into agreeing
 // bit for bit with the BitVec formulation the seed partitioner uses. The
 // backend-specific sections pin what makes each representation worth
-// having: CSR's raw word access, TEBM's compression on sparse rows, and
-// the mmap store's file protocol and page accounting.
+// having: CSR's raw word access, and the mmap store's file protocol and
+// page accounting.
 #include "storage/x_matrix_store.hpp"
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 #include "response/x_matrix.hpp"
 #include "storage/backend_csr.hpp"
 #include "storage/backend_mmap.hpp"
-#include "storage/backend_tebm.hpp"
 #include "storage/store_factory.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -32,8 +31,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kTebm,
-                                      XmBackend::kMmap};
+constexpr XmBackend kAllBackends[] = {XmBackend::kCsr, XmBackend::kMmap};
 
 XMatrix random_matrix(std::uint64_t seed, std::size_t chains,
                       std::size_t length, std::size_t patterns,
@@ -270,35 +268,6 @@ TEST(CsrStore, RowWordsReproduceTheSourceBitForBit) {
   }
 }
 
-// --- TEBM specifics ------------------------------------------------------
-
-TEST(TebmStore, CompressesSparseRowsBelowTheCsrPayload) {
-  // 2% density: most 256-pattern chunks are all-zero and cost one tag byte.
-  const XMatrix xm = random_matrix(43, 8, 16, 512, 0.02);
-  const TebmStore store(xm);
-  ASSERT_GT(store.num_rows(), 0u);
-  EXPECT_LT(store.encoded_bytes(), store.csr_payload_bytes());
-}
-
-TEST(TebmStore, HandlesAllOnesRowsThroughTheOnesTag) {
-  // One cell X-captures on every pattern: its chunks are all-ones ranges.
-  XMatrix xm({2, 4}, 256);
-  for (std::size_t p = 0; p < 256; ++p) xm.add_x(3, p);
-  xm.add_x(7, 5);
-  const TebmStore store(xm);
-  ASSERT_EQ(store.num_rows(), 2u);
-  EXPECT_EQ(store.x_count(0), 256u);
-
-  BitVec subset(256);
-  for (std::size_t p = 0; p < 256; p += 3) subset.set(p);
-  EXPECT_EQ(store.count_in(0, subset), subset.count());
-  EXPECT_EQ(store.hash_in(0, subset),
-            reference_hash(xm.patterns_of(3), subset));
-  BitVec out;
-  store.intersect_into(0, subset, &out);
-  EXPECT_TRUE(out == subset);
-}
-
 // --- mmap specifics ------------------------------------------------------
 
 TEST(MmapStore, BuildsThePagedFileProtocol) {
@@ -370,13 +339,11 @@ TEST(MmapStore, RefusalToWriteThrowsIosFailure) {
 // --- factory -------------------------------------------------------------
 
 TEST(StoreFactory, ParsesCanonicalSpellingsOnly) {
-  XmBackend backend = XmBackend::kTebm;
+  XmBackend backend = XmBackend::kMmap;
   EXPECT_TRUE(parse_xm_backend("auto", &backend));
   EXPECT_EQ(backend, XmBackend::kAuto);
   EXPECT_TRUE(parse_xm_backend("csr", &backend));
   EXPECT_EQ(backend, XmBackend::kCsr);
-  EXPECT_TRUE(parse_xm_backend("tebm", &backend));
-  EXPECT_EQ(backend, XmBackend::kTebm);
   EXPECT_TRUE(parse_xm_backend("mmap", &backend));
   EXPECT_EQ(backend, XmBackend::kMmap);
 
@@ -384,10 +351,11 @@ TEST(StoreFactory, ParsesCanonicalSpellingsOnly) {
   EXPECT_FALSE(parse_xm_backend("CSR", &backend));
   EXPECT_FALSE(parse_xm_backend("", &backend));
   EXPECT_FALSE(parse_xm_backend("mmapp", &backend));
+  EXPECT_FALSE(parse_xm_backend("tebm", &backend));  // removed backend
   EXPECT_EQ(backend, XmBackend::kCsr) << "failed parse must not write";
 
-  for (const XmBackend b : {XmBackend::kAuto, XmBackend::kCsr,
-                            XmBackend::kTebm, XmBackend::kMmap}) {
+  for (const XmBackend b :
+       {XmBackend::kAuto, XmBackend::kCsr, XmBackend::kMmap}) {
     XmBackend round = XmBackend::kAuto;
     EXPECT_TRUE(parse_xm_backend(xm_backend_name(b), &round));
     EXPECT_EQ(round, b);
@@ -404,7 +372,7 @@ TEST(StoreFactory, AutoSpillsToMmapPastTheThreshold) {
   tiny.auto_mmap_threshold_bytes = 1;
   EXPECT_EQ(resolve_xm_backend(XmBackend::kAuto, xm, tiny), XmBackend::kMmap);
   // Non-auto requests pass through untouched.
-  EXPECT_EQ(resolve_xm_backend(XmBackend::kTebm, xm, tiny), XmBackend::kTebm);
+  EXPECT_EQ(resolve_xm_backend(XmBackend::kCsr, xm, tiny), XmBackend::kCsr);
 
   const std::unique_ptr<XMatrixStore> spilled =
       make_store(xm, XmBackend::kAuto, tiny);

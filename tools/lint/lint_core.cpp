@@ -206,8 +206,6 @@ const std::vector<RuleInfo>& rules() {
        "header's transitive includes (IWYU-lite)"},
       {"XH-API-001",
        "call discards the result of a [[nodiscard]] project function"},
-      {"XH-API-002",
-       "use of a [[deprecated]]-only API outside its exempt files"},
       {"XH-OBS-001",
        "telemetry instrument name absent from the canonical xh-telemetry/1 "
        "schema list (obs/telemetry_json.cpp)"},

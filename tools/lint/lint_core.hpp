@@ -30,7 +30,6 @@
 //   XH-INC-002   layering violation against tools/lint/layers.txt
 //   XH-INC-003   unused direct include / missing direct include (IWYU-lite)
 //   XH-API-001   discarded call to a [[nodiscard]] project function
-//   XH-API-002   use of a [[deprecated]]-only API outside its exempt files
 //   XH-OBS-001   telemetry name not in the canonical schema list
 //   XH-SUP-001   stale xh-lint suppression (suppresses nothing, tree-wide)
 //

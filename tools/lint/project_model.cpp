@@ -46,13 +46,6 @@ std::string stem_of(const std::string& path) {
   return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
-bool is_upperish(const std::string& name) {
-  return !name.empty() &&
-         (std::isupper(static_cast<unsigned char>(name[0])) != 0 ||
-          (name.size() > 1 && name[0] == 'k' &&
-           std::isupper(static_cast<unsigned char>(name[1])) != 0));
-}
-
 /// Flattened cleaned text (newlines preserved) for multi-line pattern work.
 std::string flatten(const Cleaned& cleaned) {
   std::string text;
@@ -227,11 +220,7 @@ void harvest_header(const std::string& path, const Cleaned& cleaned,
       const std::size_t close = text.find("]]", pos + 2);
       if (close == std::string::npos) break;
       const std::string attr = text.substr(pos + 2, close - pos - 2);
-      const bool nodiscard =
-          find_ident(attr, "nodiscard") != std::string::npos;
-      const bool deprecated =
-          find_ident(attr, "deprecated") != std::string::npos;
-      if (!nodiscard && !deprecated) {
+      if (find_ident(attr, "nodiscard") == std::string::npos) {
         pos = close + 2;
         continue;
       }
@@ -245,110 +234,10 @@ void harvest_header(const std::string& path, const Cleaned& cleaned,
       const std::size_t paren = decl.find('(');
       if (paren != std::string::npos) {
         const std::string name = ident_before(decl, paren);
-        if (!name.empty()) {
-          if (nodiscard) index.nodiscard[name].insert(path);
-          if (deprecated) {
-            DeprecatedApi api;
-            api.name = name;
-            api.declared_in = path;
-            // Parameter types (project-style uppercase identifiers) of the
-            // deprecated overload; refined against live overloads below.
-            std::size_t depth = 0;
-            std::size_t q = paren;
-            std::string tok;
-            for (; q < decl.size(); ++q) {
-              const char c = decl[q];
-              if (c == '(') ++depth;
-              if (c == ')' && --depth == 0) break;
-              if (is_ident_char(c)) {
-                tok.push_back(c);
-              } else {
-                if (is_upperish(tok)) api.marker_types.insert(tok);
-                tok.clear();
-              }
-            }
-            if (is_upperish(tok)) api.marker_types.insert(tok);
-            index.deprecated.push_back(std::move(api));
-          }
-        }
+        if (!name.empty()) index.nodiscard[name].insert(path);
       }
       pos = close + 2;
     }
-  }
-}
-
-/// Refines the deprecated index of one header: determines which deprecated
-/// functions also have live overloads and prunes marker types down to
-/// same-header types used ONLY by deprecated overloads.
-void refine_deprecated(const std::string& path, const Cleaned& cleaned,
-                       SymbolIndex& index) {
-  const std::string text = flatten(cleaned);
-  // Offsets of deprecated attribute declarations in this header.
-  std::vector<std::pair<std::size_t, std::size_t>> dep_ranges;
-  {
-    std::size_t pos = 0;
-    while ((pos = text.find("[[", pos)) != std::string::npos) {
-      const std::size_t close = text.find("]]", pos + 2);
-      if (close == std::string::npos) break;
-      if (find_ident(text.substr(pos + 2, close - pos - 2), "deprecated") !=
-          std::string::npos) {
-        const std::size_t begin = skip_attributes(text, pos);
-        std::size_t end = begin;
-        while (end < text.size() && text[end] != ';' && text[end] != '{') {
-          ++end;
-        }
-        dep_ranges.emplace_back(begin, end);
-      }
-      pos = close + 2;
-    }
-  }
-  const auto in_dep_range = [&](std::size_t off) {
-    for (const auto& [b, e] : dep_ranges) {
-      if (off >= b && off < e) return true;
-    }
-    return false;
-  };
-
-  for (DeprecatedApi& api : index.deprecated) {
-    if (api.declared_in != path) continue;
-    std::set<std::string> live_param_types;
-    std::size_t pos = 0;
-    while ((pos = find_ident(text, api.name, pos)) != std::string::npos) {
-      const std::size_t after = pos + api.name.size();
-      std::size_t p = after;
-      while (p < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[p]))) {
-        ++p;
-      }
-      if (p < text.size() && text[p] == '(' && !in_dep_range(pos)) {
-        api.has_live_overload = true;
-        std::size_t depth = 0;
-        std::string tok;
-        for (std::size_t q = p; q < text.size(); ++q) {
-          const char c = text[q];
-          if (c == '(') ++depth;
-          if (c == ')' && --depth == 0) break;
-          if (is_ident_char(c)) {
-            tok.push_back(c);
-          } else {
-            if (is_upperish(tok)) live_param_types.insert(tok);
-            tok.clear();
-          }
-        }
-      }
-      pos = after;
-    }
-    // Marker types: declared in THIS header, absent from every live
-    // overload of the same function. (HybridConfig qualifies; XMatrix and
-    // Diagnostics, declared elsewhere, never do.)
-    std::set<std::string> markers;
-    const auto& exported = index.exported_names[path];
-    for (const std::string& t : api.marker_types) {
-      if (exported.count(t) != 0 && live_param_types.count(t) == 0) {
-        markers.insert(t);
-      }
-    }
-    api.marker_types = std::move(markers);
   }
 }
 
@@ -540,13 +429,9 @@ ProjectModel build_project_model(std::vector<SourceFile> files,
     }
   }
 
-  // Symbol index over headers; deprecated refinement needs the exported
-  // name sets, so it runs as a second pass.
+  // Symbol index over headers.
   for (const auto& [path, entry] : model.files) {
     if (entry.is_header) harvest_header(path, entry.cleaned, model.symbols);
-  }
-  for (const auto& [path, entry] : model.files) {
-    if (entry.is_header) refine_deprecated(path, entry.cleaned, model.symbols);
   }
 
   // Telemetry schema list.

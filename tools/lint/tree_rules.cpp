@@ -312,60 +312,6 @@ void check_discards(const ProjectModel& model, RawFindings& raw) {
   }
 }
 
-// ---- XH-API-002: deprecated-only APIs ----------------------------------
-
-void check_deprecated(const ProjectModel& model, RawFindings& raw) {
-  if (model.symbols.deprecated.empty()) return;
-
-  // Marker type → the deprecated function it feeds (first wins; the three
-  // HybridConfig overloads all map the same type).
-  std::map<std::string, const DeprecatedApi*> markers;
-  for (const DeprecatedApi& api : model.symbols.deprecated) {
-    for (const std::string& t : api.marker_types) {
-      markers.emplace(t, &api);
-    }
-  }
-
-  const auto exempt = [&](const std::string& path,
-                          const FileEntry& entry,
-                          const DeprecatedApi& api) {
-    if (path == api.declared_in) return true;
-    // Sibling .cpp of the declaring header (out-of-line definitions).
-    std::string sibling = api.declared_in;
-    const std::size_t dot = sibling.rfind('.');
-    if (dot != std::string::npos) sibling = sibling.substr(0, dot) + ".cpp";
-    if (path == sibling) return true;
-    // Files that explicitly opt in (the dedicated compat test).
-    return entry.source.content.find("-Wdeprecated-declarations") !=
-           std::string::npos;
-  };
-
-  for (const auto& [path, entry] : model.files) {
-    for (const auto& [type, api] : markers) {
-      if (exempt(path, entry, *api)) continue;
-      const auto it = entry.idents.find(type);
-      if (it != entry.idents.end()) {
-        raw[path].push_back(
-            {path, it->second, "XH-API-002",
-             "'" + type + "' only feeds the [[deprecated]] '" + api->name +
-                 "' overload (" + api->declared_in +
-                 ") — migrate to the live API"});
-      }
-    }
-    for (const DeprecatedApi& api : model.symbols.deprecated) {
-      if (api.has_live_overload || exempt(path, entry, api)) continue;
-      for (std::size_t i = 0; i < entry.cleaned.lines.size(); ++i) {
-        if (has_call(entry.cleaned.lines[i], api.name)) {
-          raw[path].push_back(
-              {path, i + 1, "XH-API-002",
-               "call to [[deprecated]] '" + api.name + "' (" +
-                   api.declared_in + ") with no live replacement overload"});
-        }
-      }
-    }
-  }
-}
-
 // ---- XH-OBS-001: telemetry names vs schema -----------------------------
 
 void check_telemetry(const ProjectModel& model, RawFindings& raw) {
@@ -502,7 +448,6 @@ std::vector<Finding> analyze_tree(const ProjectModel& model,
     check_layering(model, raw);
     check_includes(model, raw);
     check_discards(model, raw);
-    check_deprecated(model, raw);
     check_telemetry(model, raw);
   }
 

@@ -11,11 +11,10 @@
 //
 //   Storage backend (analyze/circuit/serve): --xm-backend B picks the
 //   X-matrix store the partition engine reads from — csr (in-memory,
-//   the default resolution), tebm (tree-encoded bitmap, compressed),
-//   mmap (memory-mapped spill file for out-of-core matrices), or auto
-//   (csr unless the estimated CSR footprint exceeds the spill
-//   threshold). Every backend is bit-identical; only footprint and
-//   access cost differ (DESIGN.md §12).
+//   the default resolution), mmap (memory-mapped spill file for
+//   out-of-core matrices), or auto (csr unless the estimated CSR
+//   footprint exceeds the spill threshold). Every backend is
+//   bit-identical; only footprint and access cost differ (DESIGN.md §12).
 //
 //   xhybrid_cli analyze --load-xm file.xm [--misr-size M] [--misr-q Q]
 //       Analyze a previously saved (or externally produced) X matrix.
@@ -123,7 +122,7 @@ namespace {
       "--timeout-ms T (analyze/circuit/serve): stop partitioning at the\n"
       "  first round boundary past T ms and keep the best-so-far result.\n"
       "--xm-backend B (analyze/circuit/serve): X-matrix storage backend,\n"
-      "  one of auto|csr|tebm|mmap (default auto; all bit-identical).\n"
+      "  one of auto|csr|mmap (default auto; all bit-identical).\n"
       "--isa I (analyze/circuit/serve): kernel instruction set, one of\n"
       "  auto|scalar|avx2|avx512 (default auto = best this CPU supports;\n"
       "  all bit-identical). The XH_ISA env variable overrides the flag.\n"
@@ -221,7 +220,7 @@ Options parse(int argc, char** argv, int from) {
       if (!parse_xm_backend(text, &opt.xm_backend)) {
         std::fprintf(stderr,
                      "error: --xm-backend: unknown backend '%s' "
-                     "(expected auto|csr|tebm|mmap)\n",
+                     "(expected auto|csr|mmap)\n",
                      text);
         std::exit(2);
       }
